@@ -1,18 +1,13 @@
 """Throughput and determinism of the declarative sweep scheduler.
 
-One smoke-size grid (8 points) runs three times -- serially
-(``workers=0``), through the shared worker pool over the shared-memory
-transport, and through the same pool over the classic pickle transport
--- and the benchmark:
+One smoke-size grid (8 points) runs twice -- serially (``workers=0``)
+and through the shared worker pool -- and the benchmark:
 
-* **asserts three-way bit-identity**: every point's sample and parallel
-  estimates must match element-for-element across all executions.  This
+* **asserts two-way bit-identity**: every point's sample and parallel
+  estimates must match element-for-element across both executions.  This
   is the sweep's determinism contract (docs/sweep.md): seeds derive from
   the grid-point *index*, never from worker scheduling order, and the
-  transport only moves bytes, it never touches the RNG stream;
-* **records the paired transport timings** ``sweep_shm_seconds`` /
-  ``sweep_pickle_seconds`` so bench-history can track the shm win as a
-  same-host ratio (absolute times are noisy on CI; the pair is not);
+  pool's result pipe only moves bytes, it never touches the RNG stream;
 * **records the honest speedup** ``serial_seconds / pooled_seconds``
   only when the host can grant the requested parallelism.  The pool size
   is the *requested* worker count clamped to ``os.cpu_count()`` --
@@ -47,32 +42,24 @@ def _spec() -> SweepSpec:
     )
 
 
-def _run(workers: int, transport: str = "auto"):
+def _run(workers: int):
     started = time.perf_counter()
-    result = run_sweep(
-        _spec(),
-        seed=_SEED,
-        runner=Runner(workers=workers, pool_transport=transport),
-    )
+    result = run_sweep(_spec(), seed=_SEED, runner=Runner(workers=workers))
     return result, time.perf_counter() - started
 
 
 def test_sweep_pool_is_deterministic_and_timed(benchmark):
-    """Pooled grid matches serial bit-for-bit on both transports."""
+    """Pooled grid matches serial bit-for-bit."""
     serial, serial_seconds = _run(workers=0)  # also warms imports/tables
 
-    benchmark.pedantic(_run, args=(_WORKERS, "shm"), rounds=1, iterations=1)
-    pooled_shm, shm_seconds = _run(_WORKERS, "shm")
-    pooled_pickle, pickle_seconds = _run(_WORKERS, "pickle")
+    benchmark.pedantic(_run, args=(_WORKERS,), rounds=1, iterations=1)
+    pooled, pooled_seconds = _run(_WORKERS)
 
-    assert len(serial) == len(pooled_shm) == len(pooled_pickle) == 8
-    for a, b, c in zip(serial, pooled_shm, pooled_pickle):
+    assert len(serial) == len(pooled) == 8
+    for a, b in zip(serial, pooled):
         np.testing.assert_array_equal(a.sample.times, b.sample.times)
-        np.testing.assert_array_equal(a.sample.times, c.sample.times)
         np.testing.assert_array_equal(a.parallel, b.parallel)
-        np.testing.assert_array_equal(a.parallel, c.parallel)
 
-    pooled_seconds = shm_seconds
     record = pool_speedup_record(
         serial_seconds,
         pooled_seconds,
@@ -87,16 +74,16 @@ def test_sweep_pool_is_deterministic_and_timed(benchmark):
     )
     print(
         f"\nsweep 8 points x 2000 walks: serial {serial_seconds:.3f}s | "
-        f"pooled x{_WORKERS} shm {shm_seconds:.3f}s / pickle "
-        f"{pickle_seconds:.3f}s | {verdict} "
+        f"pooled x{_WORKERS} {pooled_seconds:.3f}s | {verdict} "
         f"on {os.cpu_count()} CPU(s) | bit-identical: yes"
     )
     record_bench(
         "sweep",
         {
             **record,
-            "sweep_shm_seconds": shm_seconds,
-            "sweep_pickle_seconds": pickle_seconds,
+            # Tombstones: scrub the retired shm-vs-pickle transport pair.
+            "sweep_shm_seconds": None,
+            "sweep_pickle_seconds": None,
             "n_points": len(serial),
             "n_walks_per_point": 2_000,
             "bit_identical": True,

@@ -130,7 +130,7 @@ class JumpCdfTable:
     ) -> "JumpCdfTable":
         """Wrap an already-computed CDF array (no zeta sums re-derived).
 
-        The shared-memory transport uses this to install tables whose
+        The pooled Runner uses this to install tables whose
         data lives in a segment published by the parent process
         (:mod:`repro.engine.shm`); ``cdf`` may be a read-only view into
         that segment -- :meth:`sample` never writes to it.

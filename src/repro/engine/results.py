@@ -71,6 +71,8 @@ class HittingTimeSample:
         """Empirical ``P(tau <= t)`` for ``t <= horizon``."""
         if t > self.horizon:
             raise ValueError(f"t={t} exceeds the horizon {self.horizon}")
+        if not self.n:
+            return float("nan")
         return float(np.count_nonzero(self.hit_mask & (self.times <= t)) / self.n)
 
     def restricted(self, t: int) -> "HittingTimeSample":

@@ -1,39 +1,23 @@
-"""Zero-copy shared-memory transport for the pooled Runner.
+"""Shared-memory CDF tables for the pooled Runner.
 
-Two independent costs gate pool scaling (BENCH_sweep.json records a
-near-1x pool speedup): every worker re-derives the inverse-CDF jump
-tables of :mod:`repro.distributions.cdf_table` per process, and every
-chunk result crosses the pool boundary as a pickle.  This module removes
-both with ``multiprocessing.shared_memory``:
+Every pool worker would otherwise re-derive the inverse-CDF jump tables
+of :mod:`repro.distributions.cdf_table` per process.  A
+:class:`SharedTableRegistry` (parent side) publishes each
+``(alpha, lazy_probability, cap)`` table -- the same key as the
+process-global LRU cache -- into a named ``multiprocessing.shared_memory``
+segment once per run.  Workers :func:`attach_tables` zero-copy at
+pool-initializer time and install read-only shared-backed
+:class:`~repro.distributions.cdf_table.JumpCdfTable` objects into their
+local cache, so a pool rebuild after a hung chunk re-attaches the *same*
+segments instead of re-deriving zeta sums.  The attached table holds
+the exact bytes the parent derived, so results are bit-identical to a
+locally built table.  Chunk results travel back over the executor's
+pickle pipe.
 
-* a :class:`SharedTableRegistry` (parent side) publishes each
-  ``(alpha, lazy_probability, cap)`` table -- the same key as the
-  process-global LRU cache -- into a named segment once per run.  Workers
-  :func:`attach_tables` zero-copy at pool-initializer time and install
-  read-only shared-backed :class:`~repro.distributions.cdf_table.JumpCdfTable`
-  objects into their local cache, so a pool rebuild after a hung chunk
-  re-attaches the *same* segments instead of re-deriving zeta sums;
-* chunk results encode into fixed-layout *slabs*
-  (:func:`encode_payload` / :func:`decode_slab`): a 32-byte header, the
-  int64 hitting times, and the uint8 hit flags.  The parent attaches,
-  copies out, and unlinks -- no pickling of the payload arrays in either
-  direction.  Payload kinds without a slab layout (e.g. foraging results)
-  return ``None`` from :func:`encode_payload` and fall back to the pickle
-  transport, which stays fully supported (``--pool-transport pickle``).
-
-Both directions are bit-exact: a slab round-trip reproduces the payload
-arrays exactly, so the Runner's determinism contracts (workers=0 vs N,
-resume) are unchanged by transport choice.
-
-Lifetime rules (who unlinks what):
-
-* table segments: created and unlinked by the parent registry
-  (:meth:`SharedTableRegistry.close`); workers only ever attach;
-* result slabs: created by the worker under a parent-chosen name,
-  unlinked by the parent after decoding -- or by the parent's cleanup
-  path (:func:`unlink_if_exists` / :func:`cleanup_segments`) when the
-  worker died before the slab could be consumed (SIGKILL, hung-chunk
-  watchdog, broken pool).
+Lifetime: table segments are created and unlinked by the parent
+registry (:meth:`SharedTableRegistry.close`); workers only ever attach.
+The Runner's end-of-run :func:`cleanup_segments` sweep reaps anything
+left under the run's prefix.
 
 Resource-tracker note (CPython < 3.13, python/cpython#82300): attaching
 a segment registers it with the ``resource_tracker`` as if the attacher
@@ -52,7 +36,6 @@ behind :func:`cleanup_segments`, not a leak.
 from __future__ import annotations
 
 import os
-import re
 import threading
 from dataclasses import dataclass
 from multiprocessing import shared_memory
@@ -61,22 +44,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.distributions.cdf_table import JumpCdfTable, get_table, install_table
-from repro.engine.results import CENSORED, HittingTimeSample
 
 _Key = Tuple[float, float, Optional[int]]
-
-#: Slab header magic ("RPRS" little-endian) -- catches a decode of a
-#: foreign or torn segment before any array is interpreted.
-SLAB_MAGIC = 0x53525052
-
-#: Slab payload kinds.
-KIND_HITTING = 1
-
-#: Header layout: ``int64[4] = (magic, kind, n, horizon)`` = 32 bytes.
-_HEADER_WORDS = 4
-_HEADER_BYTES = _HEADER_WORDS * 8
-
-_SAFE_NAME = re.compile(r"[^A-Za-z0-9_.-]+")
 
 _availability_lock = threading.Lock()
 _availability: Optional[bool] = None
@@ -107,16 +76,6 @@ def segment_prefix() -> str:
     return f"repro-{os.getpid()}-{os.urandom(4).hex()}"
 
 
-def slab_name(prefix: str, label: str, chunk: int, attempt: int) -> str:
-    """Deterministic slab name for a chunk attempt, chosen by the parent.
-
-    The parent picks the name *before* submitting the chunk, so it can
-    always unlink the slab of a worker that died mid-write.
-    """
-    safe = _SAFE_NAME.sub("_", str(label))[:80]
-    return f"{prefix}-s-{safe}-{chunk}-{attempt}"
-
-
 @dataclass(frozen=True)
 class TableSegment:
     """Picklable descriptor of one published CDF-table segment."""
@@ -135,15 +94,6 @@ class TableSegment:
     @property
     def nbytes(self) -> int:
         return int(self.length) * 8
-
-
-@dataclass(frozen=True)
-class SlabRef:
-    """Picklable handle to a result slab (what actually crosses the pipe)."""
-
-    name: str
-    nbytes: int
-    kind: int = KIND_HITTING
 
 
 class SharedTableRegistry:
@@ -252,7 +202,7 @@ def attach_tables(descriptors: Sequence[TableSegment]) -> int:
     Returns the number of tables newly attached.  A descriptor whose
     segment has vanished (parent already cleaned up -- e.g. a straggler
     worker of a rebuilt pool) is skipped silently: the worker then
-    derives that table locally exactly as on the pickle path, so the
+    derives that table locally exactly as without shared tables, so the
     result is unchanged either way.
     """
     attached = 0
@@ -287,112 +237,16 @@ def attached_table_count() -> int:
     return len(_ATTACHED_KEYS)
 
 
-def encode_payload(payload: object, name: str) -> Optional[SlabRef]:
-    """Worker side: write a chunk payload into a named slab.
-
-    Returns ``None`` (caller falls back to pickle) when the payload kind
-    has no slab layout or the segment cannot be created (exhausted
-    ``/dev/shm``, unsupported platform).  Layout for
-    :class:`HittingTimeSample` (``kind == KIND_HITTING``)::
-
-        int64[4]  header   (magic, kind, n, horizon)
-        int64[n]  times    (CENSORED where the walk missed)
-        uint8[n]  hits     (redundant flags; decode validates them)
-    """
-    if not isinstance(payload, HittingTimeSample):
-        return None
-    times = np.ascontiguousarray(payload.times, dtype=np.int64)
-    n = int(times.shape[0])
-    size = _HEADER_BYTES + 8 * n + n
-    try:
-        segment = shared_memory.SharedMemory(create=True, size=size, name=name)
-    except Exception:
-        return None
-    try:
-        header = np.frombuffer(segment.buf, dtype=np.int64, count=_HEADER_WORDS)
-        header[:] = (SLAB_MAGIC, KIND_HITTING, n, int(payload.horizon))
-        np.frombuffer(
-            segment.buf, dtype=np.int64, count=n, offset=_HEADER_BYTES
-        )[:] = times
-        np.frombuffer(
-            segment.buf, dtype=np.uint8, count=n, offset=_HEADER_BYTES + 8 * n
-        )[:] = (times != CENSORED).view(np.uint8)
-        del header
-    except Exception:
-        segment.close()
-        try:
-            segment.unlink()
-        except Exception:
-            pass
-        return None
-    # Ownership transfers to the parent: drop this process's mapping but
-    # do NOT unlink -- the parent decodes and unlinks.
-    segment.close()
-    return SlabRef(name=name, nbytes=size, kind=KIND_HITTING)
-
-
-def decode_slab(ref: SlabRef) -> HittingTimeSample:
-    """Parent side: copy a slab out into a payload, then unlink it."""
-    segment = shared_memory.SharedMemory(name=ref.name)
-    try:
-        # Copy, never view: a raised exception would pin any live view of
-        # segment.buf in its traceback frame and make the close() below
-        # fail with "cannot close exported pointers exist".
-        header = np.frombuffer(
-            bytes(segment.buf[:_HEADER_BYTES]), dtype=np.int64
-        )
-        magic, kind, n, horizon = (int(x) for x in header)
-        if magic != SLAB_MAGIC:
-            raise ValueError(f"slab {ref.name}: bad magic 0x{magic:x}")
-        if kind != KIND_HITTING:
-            raise ValueError(f"slab {ref.name}: unsupported kind {kind}")
-        times = np.frombuffer(
-            bytes(segment.buf[_HEADER_BYTES:_HEADER_BYTES + 8 * n]),
-            dtype=np.int64,
-        ).copy()  # frombuffer(bytes) is read-only; payloads must be writable
-        hits = np.frombuffer(
-            bytes(
-                segment.buf[_HEADER_BYTES + 8 * n:_HEADER_BYTES + 9 * n]
-            ),
-            dtype=np.uint8,
-        )
-        if not np.array_equal(hits.astype(bool), times != CENSORED):
-            raise ValueError(f"slab {ref.name}: hit flags disagree with times")
-    finally:
-        segment.close()
-        try:
-            segment.unlink()
-        except FileNotFoundError:
-            pass
-    return HittingTimeSample(times=times, horizon=horizon)
-
-
 def unlink_if_exists(name: str) -> bool:
     """Best-effort unlink of one segment; True if it existed."""
     try:
         segment = shared_memory.SharedMemory(name=name)
     except (FileNotFoundError, OSError):
         return False
-    except ValueError:
-        # The creator won the O_CREX race but has not ftruncated yet:
-        # the file exists with size 0 and cannot be mapped.  Remove the
-        # backing file directly -- the (dying) creator's own handle
-        # stays valid, and the resource tracker tolerates a vanished
-        # name at family exit.
-        return _unlink_backing_file(name)
     segment.close()
     try:
         segment.unlink()
     except FileNotFoundError:
-        return False
-    return True
-
-
-def _unlink_backing_file(name: str) -> bool:
-    path = os.path.join("/dev/shm", name)
-    try:
-        os.unlink(path)
-    except OSError:
         return False
     return True
 
@@ -413,9 +267,9 @@ def list_segments(prefix: str) -> List[str]:
 def cleanup_segments(prefix: str) -> List[str]:
     """Unlink every leftover segment under ``prefix``; returns the names.
 
-    The Runner calls this after a pooled run as a belt-and-braces sweep:
-    anything still live here belonged to a worker that died before its
-    slab was consumed (and was already counted failed/retried).
+    The Runner calls this after a pooled run as a belt-and-braces sweep
+    behind :meth:`SharedTableRegistry.close`: anything still live here
+    is a leak.
     """
     removed: List[str] = []
     for name in list_segments(prefix):

@@ -273,16 +273,6 @@ def add_runner_arguments(parser: argparse.ArgumentParser) -> None:
         "memory drops below MB",
     )
     parser.add_argument(
-        "--pool-transport",
-        choices=("shm", "pickle", "auto"),
-        default="auto",
-        dest="pool_transport",
-        help="how pooled chunks move data: 'shm' publishes CDF tables and "
-        "result slabs through POSIX shared memory (zero-copy, falls back "
-        "per-chunk for non-slab payloads), 'pickle' forces the classic "
-        "pipe transport, 'auto' (default) uses shm when /dev/shm works",
-    )
-    parser.add_argument(
         "--ring-rounds",
         type=int,
         default=0,
@@ -421,7 +411,6 @@ def runner_from_args(args: argparse.Namespace):
     quarantine_after = getattr(args, "quarantine_after", None)
     min_disk_mb = getattr(args, "min_disk_mb", None)
     min_memory_mb = getattr(args, "min_memory_mb", None)
-    pool_transport = getattr(args, "pool_transport", "auto")
     ring_rounds = getattr(args, "ring_rounds", 0)
     wants_runner = (
         args.checkpoint_dir is not None
@@ -435,7 +424,6 @@ def runner_from_args(args: argparse.Namespace):
         or quarantine_after is not None
         or min_disk_mb is not None
         or min_memory_mb is not None
-        or pool_transport != "auto"
         or ring_rounds
     )
     if not wants_runner:
@@ -476,7 +464,6 @@ def runner_from_args(args: argparse.Namespace):
         convergence=convergence,
         retry_policy=retry_policy,
         resource_guards=resource_guards,
-        pool_transport=pool_transport,
         ring_rounds=ring_rounds,
     )
 

@@ -489,24 +489,21 @@ def run_chaos_matrix(
             )
 
         if kind == "worker-kill":
-            # Run this scenario over the shared-memory transport when the
-            # host supports it: a SIGKILLed worker is exactly the case
-            # where a result slab can be orphaned mid-write, so the row
-            # also asserts the runner left nothing behind in /dev/shm.
+            # A SIGKILLed worker is the harshest exit a pooled run sees, so
+            # the row also asserts the runner left none of its shared
+            # CDF-table segments behind in /dev/shm.
             from repro.engine import shm as _shm
 
-            use_shm = _shm.shm_available()
             row = ChaosOutcome(
                 kind, "", expected="completed",
                 detection="BrokenProcessPool from the dead worker",
                 recovery="rebuild pool, retry in-flight chunks, unlink "
-                "the dead worker's shm slabs",
+                "the run's shm table segments",
             )
             with ChaosPlan((ChaosFault("worker-kill", chunk=1),), arm_dir) as plan:
                 runner = Runner(
                     workers=pooled, n_chunks=n_chunks, retry_policy=policy,
                     fault_injector=plan,
-                    pool_transport="shm" if use_shm else "pickle",
                 )
                 outcome = runner.run(task, n_walks, seed, label=kind)
             leaked = (
@@ -517,7 +514,7 @@ def run_chaos_matrix(
                 row, outcome, identical(outcome.payload),
                 lambda o: o.complete and o.retries >= 1,
             )
-            if use_shm:
+            if runner.shm_prefix:
                 if leaked:
                     row.ok = False
                     row.notes.append(
@@ -526,7 +523,7 @@ def run_chaos_matrix(
                     )
                 else:
                     row.notes.append(
-                        "shm transport: 0 segments leaked after worker kill"
+                        "shm tables: 0 segments leaked after worker kill"
                     )
             return row
 

@@ -116,7 +116,6 @@ def _execute_chunk(
     attempt: int = 1,
     heartbeat: Optional[Tuple[str, float]] = None,
     profile: bool = False,
-    slab: Optional[str] = None,
     ring: int = 0,
 ):
     """Run one chunk (in the parent or a pool worker).
@@ -136,13 +135,6 @@ def _execute_chunk(
     watchdog observes.  Installed *before* the injector hook runs, so an
     injected hang is exactly what it simulates: a worker that stopped
     heartbeating mid-chunk.
-
-    ``slab`` (pool mode, shm transport) names the shared-memory segment
-    to write the payload into: ``result`` is then a tiny
-    :class:`~repro.engine.shm.SlabRef` instead of the pickled payload and
-    ``meta["transport"]`` is ``"shm"``.  Payload kinds without a slab
-    layout return the payload itself with ``meta["transport"]`` set to
-    ``"pickle-fallback"`` so the parent can flag the silent downgrade.
 
     ``ring > 1`` enables the interleaved walker-ring loop
     (:mod:`repro.engine.ring`) for the chunk's engine calls.  Applied
@@ -181,15 +173,7 @@ def _execute_chunk(
             drained = accumulator.drain() if accumulator is not None else None
             if drained is not None:
                 meta["phases"], meta["engines"] = drained
-        result: Any = payload
-        if slab is not None:
-            ref = _shm.encode_payload(payload, slab)
-            if ref is not None:
-                result = ref
-                meta["transport"] = "shm"
-            else:
-                meta["transport"] = "pickle-fallback"
-        return index, result, meta
+        return index, payload, meta
     finally:
         if heartbeat is not None:
             set_recorder(previous)
@@ -343,11 +327,6 @@ class Runner:
         :func:`repro.telemetry.get_recorder` seam, a no-op unless the
         CLI (``--log-json``/``--metrics-out``/``--progress``) or a test
         enabled telemetry.
-    pool_transport:
-        ``"shm"`` / ``"pickle"`` / ``"auto"`` -- how pooled chunk results
-        cross the pool boundary and whether CDF tables are published to
-        workers via shared memory (:mod:`repro.engine.shm`).  ``"auto"``
-        (default) picks shm where available.  Bit-identical either way.
     ring_rounds:
         ``> 1`` runs the engines' interleaved walker-ring loop with this
         block depth (:mod:`repro.engine.ring`), in serial and pooled
@@ -370,17 +349,12 @@ class Runner:
         retry_policy: Optional[RetryPolicy] = None,
         resource_guards: Optional[ResourceGuards] = None,
         heartbeat_interval: Optional[float] = None,
-        pool_transport: str = "auto",
         ring_rounds: int = 0,
     ) -> None:
         if n_chunks < 1:
             raise ValueError(f"n_chunks must be positive, got {n_chunks}")
         if workers < 0:
             raise ValueError(f"workers must be non-negative, got {workers}")
-        if pool_transport not in ("shm", "pickle", "auto"):
-            raise ValueError(
-                f"pool_transport must be 'shm', 'pickle' or 'auto', got {pool_transport!r}"
-            )
         if ring_rounds < 0:
             raise ValueError(f"ring_rounds must be non-negative, got {ring_rounds}")
         self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
@@ -399,21 +373,15 @@ class Runner:
         )
         self.resource_guards = resource_guards
         self.heartbeat_interval = heartbeat_interval
-        #: Chunk-result transport for pool mode: "shm" moves payloads as
-        #: fixed-layout shared-memory slabs and publishes CDF tables to
-        #: workers zero-copy, "pickle" is the legacy pipe transport, and
-        #: "auto" (default) uses shm where the platform supports it.
-        #: Transport never changes the merged sample -- slab round-trips
-        #: are bit-exact -- only how the bytes move.
-        self.pool_transport = pool_transport
         #: Engine block depth for the interleaved walker-ring loop; 0/1
         #: keeps the legacy round-by-round loop.  Applied in serial and
         #: pooled execution alike (worker-count invariance holds per
         #: setting; samples differ *between* settings -- see
         #: repro.engine.ring).
         self.ring_rounds = int(ring_rounds)
-        #: Segment-name prefix of the last pooled run's shm transport
-        #: (tests / leak audits); None until a pooled shm run happens.
+        #: Segment-name prefix of the last pooled run's shared CDF-table
+        #: segments (tests / leak audits); None until a pooled run on a
+        #: host with named shared memory.
         self.shm_prefix: Optional[str] = None
         self.resume = bool(resume)
         self.fault_injector = fault_injector
@@ -846,7 +814,7 @@ class Runner:
                     _, payload, meta = _execute_chunk(
                         state.task, index, state.sizes[index], state.seeds[index],
                         self.fault_injector, attempt, None, profile,
-                        None, self.ring_rounds,
+                        self.ring_rounds,
                     )
                     payload = self._screen_payload(state, index, attempt, payload)
                 except Exception as exc:
@@ -938,12 +906,6 @@ class Runner:
                 rec.metrics.counter("runner.unpickle_seconds").add(
                     ipc.get("unpickle_seconds", 0.0)
                 )
-                if ipc.get("shm_bytes"):
-                    rec.metrics.counter("runner.shm_bytes").add(ipc["shm_bytes"])
-                if ipc.get("shm_seconds"):
-                    rec.metrics.counter("runner.shm_seconds").add(ipc["shm_seconds"])
-                if ipc.get("transport") == "pickle-fallback":
-                    rec.metrics.counter("runner.shm_fallbacks").add()
 
     # -------------------------------------------------------------- pool mode
 
@@ -971,23 +933,13 @@ class Runner:
         """
         queue = self._interleaved(states)
         profile = self._profiling(rec)
-        use_shm = self.pool_transport != "pickle" and _shm.shm_available()
-        if self.pool_transport == "shm" and not use_shm:
-            # Explicit shm on a host without working named shared memory:
-            # degrade to pickle loudly, never fail the run over transport.
-            rec.event(
-                "incident", kind="shm_unavailable", action="pickle-transport"
-            )
-            for state in states:
-                state.notes.append(
-                    "shm transport unavailable on this host; using pickle"
-                )
         registry: Optional[_shm.SharedTableRegistry] = None
         table_descriptors: Tuple[_shm.TableSegment, ...] = ()
-        if use_shm:
+        if _shm.shm_available():
             # Publish every job's CDF tables once; workers of every pool
             # this run builds (rebuilds included) attach the same
-            # segments via the pool initializer.
+            # segments via the pool initializer.  Without named shared
+            # memory, workers derive their tables locally.
             registry = _shm.SharedTableRegistry()
             self.shm_prefix = registry.prefix
             registry.publish_for_tasks([s.task for s in states])
@@ -1000,8 +952,8 @@ class Runner:
                 )
                 rec.metrics.counter("runner.shm_table_bytes").add(registry.nbytes)
         executor: Optional[ProcessPoolExecutor] = None
-        # future -> (job state, chunk index, submit time, slab name)
-        inflight: Dict[Any, Tuple[_JobState, int, float, Optional[str]]] = {}
+        # future -> (job state, chunk index, submit time)
+        inflight: Dict[Any, Tuple[_JobState, int, float]] = {}
         poll = 0.05 if self.chunk_timeout is None else min(0.05, self.chunk_timeout / 4)
         supervisor: Optional[Supervisor] = None
         hb_interval = 0.0
@@ -1084,18 +1036,10 @@ class Runner:
                 while queue and len(inflight) < self.workers:
                     state, index = queue.pop(0)
                     attempt = state.attempts.get(index, 0) + 1
-                    # The parent names the chunk's result slab up front so
-                    # it can always unlink it, even if the worker dies
-                    # mid-write; a fresh attempt gets a fresh name.
-                    slab = (
-                        _shm.slab_name(registry.prefix, state.label, index, attempt)
-                        if registry is not None
-                        else None
-                    )
                     heartbeat = None
                     if supervisor is not None:
                         heartbeat = (
-                            supervisor.register(state.label, index, slab=slab),
+                            supervisor.register(state.label, index),
                             hb_interval,
                         )
                     future = executor.submit(
@@ -1108,10 +1052,9 @@ class Runner:
                         attempt,
                         heartbeat,
                         profile,
-                        slab,
                         self.ring_rounds,
                     )
-                    inflight[future] = (state, index, time.monotonic(), slab)
+                    inflight[future] = (state, index, time.monotonic())
                     rec.event(
                         "chunk_start",
                         label=state.label,
@@ -1122,32 +1065,17 @@ class Runner:
                 done, _ = wait(list(inflight), timeout=poll, return_when=FIRST_COMPLETED)
                 broken: List[Tuple[_JobState, int]] = []
                 for future in done:
-                    state, index, _submitted, slab = inflight.pop(future)
+                    state, index, _submitted = inflight.pop(future)
                     if supervisor is not None:
                         supervisor.unregister(state.label, index)
                     attempt = state.attempts.get(index, 0) + 1
-                    slab_ref: Optional[_shm.SlabRef] = None
-                    decode_seconds = 0.0
                     try:
-                        _, result, meta = future.result()
-                        if isinstance(result, _shm.SlabRef):
-                            # shm transport: the worker shipped a handle;
-                            # copy the payload out and unlink the slab.
-                            slab_ref = result
-                            decode_started = time.perf_counter()
-                            payload = _shm.decode_slab(slab_ref)
-                            decode_seconds = time.perf_counter() - decode_started
-                        else:
-                            payload = result
+                        _, payload, meta = future.result()
                         payload = self._screen_payload(state, index, attempt, payload)
                     except BrokenProcessPool:
-                        if slab is not None:
-                            _shm.unlink_if_exists(slab)
                         broken.append((state, index))
                         continue
                     except Exception as exc:  # task error inside the worker
-                        if slab is not None:
-                            _shm.unlink_if_exists(slab)
                         requeue([(state, index, f"{type(exc).__name__}: {exc}", exc)])
                         continue
                     self._write_checkpoint(
@@ -1158,45 +1086,22 @@ class Runner:
                     chunk_seconds = time.monotonic() - _submitted
                     ipc = None
                     if rec.enabled:
-                        if slab_ref is not None:
-                            # shm transport: the only bytes that crossed
-                            # the pipe are the pickled SlabRef handle; the
-                            # payload moved through the slab (zero-copy on
-                            # the worker side, one copy-out here).
-                            ipc = {
-                                "ipc_bytes": len(
-                                    pickle.dumps(
-                                        slab_ref, protocol=pickle.HIGHEST_PROTOCOL
-                                    )
-                                ),
-                                "shm_bytes": slab_ref.nbytes,
-                                "shm_seconds": round(decode_seconds, 6),
-                                "pickle_seconds": 0.0,
-                                "unpickle_seconds": 0.0,
-                                "transport": "shm",
-                            }
-                        else:
-                            # Pool IPC accounting: the executor already
-                            # paid one pickle/unpickle moving this payload
-                            # across the process boundary; re-serializing
-                            # it here measures that cost directly
-                            # (enabled-path only, once per chunk).
-                            pickle_started = time.perf_counter()
-                            blob = pickle.dumps(
-                                payload, protocol=pickle.HIGHEST_PROTOCOL
-                            )
-                            pickled_at = time.perf_counter()
-                            pickle.loads(blob)
-                            ipc = {
-                                "ipc_bytes": len(blob),
-                                "pickle_seconds": round(
-                                    pickled_at - pickle_started, 6
-                                ),
-                                "unpickle_seconds": round(
-                                    time.perf_counter() - pickled_at, 6
-                                ),
-                                "transport": meta.get("transport", "pickle"),
-                            }
+                        # Pool IPC accounting: the executor already paid
+                        # one pickle/unpickle moving this payload across
+                        # the process boundary; re-serializing it here
+                        # measures that cost directly (enabled-path only,
+                        # once per chunk).
+                        pickle_started = time.perf_counter()
+                        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+                        pickled_at = time.perf_counter()
+                        pickle.loads(blob)
+                        ipc = {
+                            "ipc_bytes": len(blob),
+                            "pickle_seconds": round(pickled_at - pickle_started, 6),
+                            "unpickle_seconds": round(
+                                time.perf_counter() - pickled_at, 6
+                            ),
+                        }
                     self._record_chunk_end(
                         rec, state.label, index, state.sizes[index], chunk_seconds,
                         attempt, meta=meta, ipc=ipc,
@@ -1207,16 +1112,11 @@ class Runner:
                     # The pool is poisoned: every other in-flight chunk is
                     # lost with it.  Rebuild and retry them all.
                     broken.extend(
-                        (state, index) for state, index, _, _ in inflight.values()
+                        (state, index) for state, index, _ in inflight.values()
                     )
-                    for state, index, _, slab in inflight.values():
+                    for state, index, _ in inflight.values():
                         if supervisor is not None:
                             supervisor.unregister(state.label, index)
-                        if slab is not None:
-                            # The worker may have died before, during, or
-                            # after writing its slab; unlink whatever made
-                            # it to /dev/shm.
-                            _shm.unlink_if_exists(slab)
                     inflight.clear()
                     self._kill_pool(executor)
                     executor = None
@@ -1250,10 +1150,8 @@ class Runner:
                         )
                         rec.metrics.counter("runner.hung_chunks").add()
                     lost = []
-                    for state, index, _, slab in inflight.values():
+                    for state, index, _ in inflight.values():
                         supervisor.unregister(state.label, index)
-                        if slab is not None:
-                            _shm.unlink_if_exists(slab)
                         if (state.label, index) in hung:
                             reason = (
                                 f"no heartbeat for {hung[(state.label, index)]:.1f}s "
@@ -1279,15 +1177,11 @@ class Runner:
                     self._kill_pool(executor)
                 else:
                     executor.shutdown(wait=False, cancel_futures=True)
-            for _state, _index, _submitted, slab in inflight.values():
-                if slab is not None:
-                    _shm.unlink_if_exists(slab)
             if registry is not None:
                 registry.close()
                 # Backstop sweep: anything under this run's prefix that
-                # survived the targeted unlinks above (e.g. a slab written
-                # by a worker we SIGKILLed mid-encode) is a leak; reap it
-                # and make the leak visible.
+                # survived the registry's unlinks is a leak; reap it and
+                # make the leak visible.
                 leaked = _shm.cleanup_segments(registry.prefix)
                 if leaked:
                     rec.event(

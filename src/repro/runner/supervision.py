@@ -149,12 +149,6 @@ class Supervisor:
         #: (label, chunk) -> (heartbeat path, registration wall-clock time).
         self._watch: Dict[Tuple[str, int], Tuple[str, float]] = {}
         self._hung: Dict[Tuple[str, int], float] = {}
-        #: (label, chunk) -> shared-memory slab name the chunk's worker
-        #: will write its result into (shm transport only).  Tracked so a
-        #: chunk still registered when the supervisor stops -- a worker
-        #: killed by the watchdog or lost with the run -- gets its
-        #: orphaned segment unlinked.
-        self._slabs: Dict[Tuple[str, int], str] = {}
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
 
@@ -174,17 +168,6 @@ class Supervisor:
             self._thread.join(timeout=5.0)
             self._thread = None
         shutil.rmtree(self.directory, ignore_errors=True)
-        with self._lock:
-            slabs = [name for name in self._slabs.values() if name]
-            self._slabs.clear()
-        if slabs:
-            # Still-registered chunks belong to workers that never
-            # returned (hung, SIGKILLed, or abandoned with the run);
-            # their result slabs would otherwise outlive the run.
-            from repro.engine.shm import unlink_if_exists
-
-            for name in slabs:
-                unlink_if_exists(name)
 
     def __enter__(self) -> "Supervisor":
         return self.start()
@@ -199,27 +182,19 @@ class Supervisor:
         safe = "".join(c if (c.isalnum() or c in "._-") else "_" for c in str(label))
         return str(self.directory / f"{safe}-{int(chunk):05d}.hb")
 
-    def register(self, label: str, chunk: int, slab: Optional[str] = None) -> str:
-        """Watch one (label, chunk); returns the worker's heartbeat path.
-
-        ``slab`` optionally names the shared-memory segment the chunk's
-        worker will write its result into; the supervisor reaps it if the
-        chunk is still registered when the watchdog stops.
-        """
+    def register(self, label: str, chunk: int) -> str:
+        """Watch one (label, chunk); returns the worker's heartbeat path."""
         path = self.heartbeat_path(label, chunk)
         with self._lock:
             self._watch[(label, chunk)] = (path, time.time())
             self._hung.pop((label, chunk), None)
-            if slab is not None:
-                self._slabs[(label, chunk)] = slab
         return path
 
-    def unregister(self, label: str, chunk: int) -> Optional[str]:
-        """Stop watching a chunk; returns its tracked slab name, if any."""
+    def unregister(self, label: str, chunk: int) -> None:
+        """Stop watching a chunk."""
         with self._lock:
             self._watch.pop((label, chunk), None)
             self._hung.pop((label, chunk), None)
-            return self._slabs.pop((label, chunk), None)
 
     def worker_pid(self, label: str, chunk: int) -> Optional[int]:
         """Pid the worker stamped into its heartbeat file, if readable.

@@ -131,15 +131,6 @@ class ProfileSummary:
     ipc_bytes: int = 0
     pickle_seconds: float = 0.0
     unpickle_seconds: float = 0.0
-    #: Shared-memory transport accounting (zero on pickle-transport logs):
-    #: slab payload bytes that bypassed the result pipe, the parent-side
-    #: copy-out time, and how many chunks used each path.
-    shm_bytes: int = 0
-    shm_seconds: float = 0.0
-    shm_chunks: int = 0
-    #: Chunks that *asked* for shm but shipped pickled payloads anyway
-    #: (non-slab payload type, or slab creation failed in the worker).
-    fallback_chunks: int = 0
     #: Number of phase_profile events seen (0 on a pre-v3 log).
     profile_events: int = 0
 
@@ -215,7 +206,6 @@ def summarize_profile(events: Sequence[Dict]) -> ProfileSummary:
                 "t_end": end_t,
                 "phases": None,
                 "ipc_bytes": event.get("ipc_bytes"),
-                "transport": event.get("transport"),
             }
             summary.chunks.append(row)
             chunk_key = (key, row["chunk"], row["attempt"])
@@ -239,13 +229,6 @@ def summarize_profile(events: Sequence[Dict]) -> ProfileSummary:
                         setattr(
                             summary, name, getattr(summary, name) + float(value)
                         )
-            shm_bytes = event.get("shm_bytes")
-            if shm_bytes is not None:
-                summary.shm_bytes += int(shm_bytes)
-                summary.shm_seconds += float(event.get("shm_seconds", 0.0))
-                summary.shm_chunks += 1
-            if event.get("transport") == "pickle-fallback":
-                summary.fallback_chunks += 1
         elif type_ == "phase_profile":
             summary.profile_events += 1
             phases = event.get("phases") or {}
@@ -382,57 +365,30 @@ def render_profile(events: Sequence[Dict], top: int = 8, width: int = 48) -> str
             )
         sections.append("\n".join(lines))
 
-    if summary.ipc_bytes or summary.shm_bytes:
-        lines = [
+    if summary.ipc_bytes:
+        sections.append(
             f"IPC: {summary.ipc_bytes} result bytes pickled in "
             f"{summary.pickle_seconds:.3f}s, unpickled in "
             f"{summary.unpickle_seconds:.3f}s"
-        ]
-        if summary.shm_bytes:
-            lines.append(
-                f"shm: {summary.shm_bytes} slab bytes over "
-                f"{summary.shm_chunks} chunk(s), copied out in "
-                f"{summary.shm_seconds:.3f}s (pipe carried handles only)"
-            )
-        if summary.fallback_chunks:
-            lines.append(
-                f"warning: {summary.fallback_chunks} chunk(s) fell back to "
-                "pickle transport despite shm being requested (non-slab "
-                "payload or slab creation failure)"
-            )
-        sections.append("\n".join(lines))
+        )
 
     if summary.chunks:
         slowest = sorted(
             summary.chunks, key=lambda row: row["seconds"], reverse=True
         )[: max(int(top), 1)]
-        # Only grow a transport column when the log carries transport info
-        # (pooled v4+ runs); serial/older logs keep the narrow table.
-        transports = {row["transport"] for row in summary.chunks}
-        show_transport = transports != {None}
-        columns = ["run", "chunk", "worker", "seconds", "ipc bytes"]
-        if show_transport:
-            columns.append("transport")
-        columns.append("phase attribution")
-        table = Table(columns, title=f"slowest {len(slowest)} chunk(s)")
+        table = Table(
+            ["run", "chunk", "worker", "seconds", "ipc bytes", "phase attribution"],
+            title=f"slowest {len(slowest)} chunk(s)",
+        )
         for row in slowest:
-            cells = [
+            table.add_row(
                 row["run"],
                 row["chunk"],
                 row["worker"],
                 round(row["seconds"], 3),
                 row["ipc_bytes"],
-            ]
-            if show_transport:
-                transport = row["transport"] or "-"
-                # The fallback marker is the loud one: the chunk asked for
-                # shm and did not get it.
-                cells.append(
-                    "PICKLE-FALLBACK" if transport == "pickle-fallback"
-                    else transport
-                )
-            cells.append(_phase_attribution(row["phases"]))
-            table.add_row(*cells)
+                _phase_attribution(row["phases"]),
+            )
         sections.append(table.render())
     else:
         sections.append(

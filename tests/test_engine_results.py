@@ -1,5 +1,7 @@
 """Tests for censored hitting-time containers and parallel grouping."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,16 @@ def test_probability_by():
     assert sample.probability_by(5) == pytest.approx(0.25)
     assert sample.probability_by(10) == pytest.approx(0.5)
     assert sample.probability_by(100) == pytest.approx(0.75)
+    with pytest.raises(ValueError):
+        sample.probability_by(101)
+
+
+def test_empty_sample_fractions_are_nan_without_warnings():
+    sample = make([])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(sample.hit_fraction)
+        assert np.isnan(sample.probability_by(50))
     with pytest.raises(ValueError):
         sample.probability_by(101)
 

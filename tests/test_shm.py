@@ -1,15 +1,14 @@
-"""Shared-memory pool transport: registry, slabs, identity, cleanup.
+"""Shared CDF-table segments and the pooled result pipe.
 
-The acceptance bar (ISSUE 10): pooled samples over the shm transport are
-bit-identical to ``workers=0`` and to the pickle transport; a SIGKILLed
-worker leaves no segment behind in ``/dev/shm``; non-slab payloads fall
-back to pickle per chunk without failing the run; and the telemetry
-stream shows ``pickle_seconds == 0`` with ``shm_bytes`` populated on the
-shm path.
+Pooled runs publish their inverse-CDF tables through POSIX shared memory
+and ship chunk results back over the executor's pickle pipe.  The bar:
+pooled samples are bit-identical to ``workers=0`` for every payload
+kind, with or without shared tables; no segment outlives a run, even one
+whose worker was SIGKILLed; ``chunk_end`` events account the pickled
+payload; and event logs written while result slabs existed still load.
 """
 
-import json
-import os
+import pickle
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ import pytest
 from repro.distributions.cdf_table import get_table
 from repro.distributions.zeta import ZetaJumpDistribution
 from repro.engine import shm
-from repro.engine.results import CENSORED, HittingTimeSample
+from repro.engine.results import HittingTimeSample
 from repro.runner import (
     ChaosFault,
     ChaosPlan,
@@ -26,7 +25,9 @@ from repro.runner import (
     Runner,
     RetryPolicy,
 )
+from repro.telemetry import render_report
 from repro.telemetry.events import read_events
+from repro.telemetry.profile import render_profile
 from repro.telemetry.recorder import NullRecorder, configure, set_recorder
 
 pytestmark = pytest.mark.skipif(
@@ -45,56 +46,22 @@ def make_task() -> HittingTimeTask:
     return HittingTimeTask(jumps=LAW, target=TARGET, horizon=HORIZON)
 
 
-def run_with(workers: int, transport: str, **kw) -> HittingTimeSample:
-    runner = Runner(workers=workers, n_chunks=N_CHUNKS,
-                    pool_transport=transport, **kw)
+def run_pooled(**kw) -> HittingTimeSample:
+    runner = Runner(workers=2, n_chunks=N_CHUNKS, **kw)
     return runner.run(make_task(), N_WALKS, SEED).payload
 
 
-# ----------------------------------------------------------------- unit layer
-
-
-def test_slab_name_is_sanitized_and_unique_per_attempt():
-    a1 = shm.slab_name("repro-1-abcd", "walk l=32", 3, 1)
-    a2 = shm.slab_name("repro-1-abcd", "walk l=32", 3, 2)
-    assert a1 != a2
-    for name in (a1, a2):
-        assert "/" not in name and " " not in name
-        assert len(name) <= 64
-
-
-def test_slab_roundtrip_is_exact():
-    times = np.array([3, CENSORED, 17, 1, CENSORED], dtype=np.int64)
-    sample = HittingTimeSample(times=times, horizon=20)
-    ref = shm.encode_payload(sample, shm.slab_name("repro-t", "rt", 0, 1))
-    assert ref is not None
-    assert ref.kind == shm.KIND_HITTING
-    decoded = shm.decode_slab(ref)
-    np.testing.assert_array_equal(decoded.times, times)
-    assert decoded.horizon == 20
-    # decode unlinks: the segment must be gone afterwards.
-    assert not shm.unlink_if_exists(ref.name)
-
-
-def test_encode_payload_refuses_foreign_payloads():
-    assert shm.encode_payload({"not": "a sample"}, "repro-t-x") is None
-
-
-def test_decode_slab_validates_header():
-    from multiprocessing import shared_memory
-
-    name = shm.slab_name("repro-t", "bad", 0, 1)
-    seg = shared_memory.SharedMemory(name=name, create=True, size=64)
+def logged_chunk_ends(tmp_path):
+    log = tmp_path / "events.jsonl"
+    rec = configure(log_path=log)
     try:
-        header = np.frombuffer(seg.buf, dtype=np.int64)
-        header[:4] = [0xBAD, 1, 1, 10]
-        del header  # release the exported pointer so close() can succeed
-        with pytest.raises(ValueError):
-            shm.decode_slab(shm.SlabRef(name=name, nbytes=64,
-                                        kind=shm.KIND_HITTING))
+        run_pooled(recorder=rec)
     finally:
-        seg.close()
-        shm.unlink_if_exists(name)
+        set_recorder(NullRecorder())
+    return [e for e in read_events(log) if e.get("type") == "chunk_end"]
+
+
+# ----------------------------------------------------------------- unit layer
 
 
 def test_registry_publishes_tables_and_unlinks_on_close():
@@ -143,18 +110,54 @@ def serial_reference():
     return Runner(n_chunks=N_CHUNKS).run(make_task(), N_WALKS, SEED).payload
 
 
-def test_shm_transport_bit_identical_to_serial(serial_reference):
-    pooled = run_with(2, "shm")
+def test_shm_transport_bit_identical_to_serial(tmp_path, serial_reference):
+    """Workers that attach the published table segments match serial."""
+    log = tmp_path / "events.jsonl"
+    rec = configure(log_path=log)
+    try:
+        runner = Runner(workers=2, n_chunks=N_CHUNKS, recorder=rec)
+        pooled = runner.run(make_task(), N_WALKS, SEED).payload
+    finally:
+        set_recorder(NullRecorder())
+    assert runner.shm_prefix is not None
+    tables = [e for e in read_events(log) if e.get("type") == "shm_tables"]
+    assert len(tables) == 1
+    assert tables[0]["tables"] == 1 and tables[0]["bytes"] > 0
     np.testing.assert_array_equal(pooled.times, serial_reference.times)
 
 
 def test_pickle_transport_bit_identical_to_serial(serial_reference):
-    pooled = run_with(2, "pickle")
+    pooled = run_pooled()
     np.testing.assert_array_equal(pooled.times, serial_reference.times)
 
 
+def test_pooled_without_shared_tables_bit_identical_to_serial(
+    serial_reference, monkeypatch
+):
+    """Hosts without named shared memory: workers derive tables locally."""
+    monkeypatch.setattr(shm, "shm_available", lambda: False)
+    runner = Runner(workers=2, n_chunks=N_CHUNKS)
+    pooled = runner.run(make_task(), N_WALKS, SEED).payload
+    assert runner.shm_prefix is None
+    np.testing.assert_array_equal(pooled.times, serial_reference.times)
+
+
+def test_foraging_payload_bit_identical_to_serial():
+    task = ForagingTask.with_targets(
+        LAW, targets=[(4, 2), (-3, 5), (9, -1)], horizon=HORIZON
+    )
+    serial = Runner(n_chunks=N_CHUNKS).run(task, N_WALKS, SEED).payload
+    runner = Runner(workers=2, n_chunks=N_CHUNKS)
+    pooled = runner.run(task, N_WALKS, SEED).payload
+    np.testing.assert_array_equal(
+        pooled.discovery_times, serial.discovery_times
+    )
+    assert runner.shm_prefix is not None
+    assert shm.list_segments(runner.shm_prefix) == []
+
+
 def test_no_segments_leak_after_clean_run():
-    runner = Runner(workers=2, n_chunks=N_CHUNKS, pool_transport="shm")
+    runner = Runner(workers=2, n_chunks=N_CHUNKS)
     runner.run(make_task(), N_WALKS, SEED)
     assert runner.shm_prefix is not None
     assert shm.list_segments(runner.shm_prefix) == []
@@ -168,7 +171,7 @@ def test_sigkilled_worker_leaves_no_segments(tmp_path, serial_reference):
     plan_dir = str(tmp_path / "arm")
     with ChaosPlan((ChaosFault("worker-kill", chunk=1),), plan_dir) as plan:
         runner = Runner(
-            workers=2, n_chunks=N_CHUNKS, pool_transport="shm",
+            workers=2, n_chunks=N_CHUNKS,
             retry_policy=RetryPolicy(max_attempts=4, backoff_base=0.01),
             fault_injector=plan,
         )
@@ -180,59 +183,40 @@ def test_sigkilled_worker_leaves_no_segments(tmp_path, serial_reference):
     assert shm.list_segments(runner.shm_prefix) == []
 
 
-def test_foraging_payload_falls_back_to_pickle(tmp_path):
-    """Non-slab payload kinds ride the pipe; the run still completes."""
-    task = ForagingTask.with_targets(
-        LAW, targets=[(4, 2), (-3, 5), (9, -1)], horizon=HORIZON
-    )
-    serial = Runner(n_chunks=N_CHUNKS).run(task, N_WALKS, SEED).payload
-    log = tmp_path / "events.jsonl"
-    rec = configure(log_path=log)
-    try:
-        runner = Runner(workers=2, n_chunks=N_CHUNKS, pool_transport="shm",
-                        recorder=rec)
-        pooled = runner.run(task, N_WALKS, SEED).payload
-    finally:
-        set_recorder(NullRecorder())
-    np.testing.assert_array_equal(
-        pooled.discovery_times, serial.discovery_times
-    )
-    events = [e for e in read_events(log) if e.get("type") == "chunk_end"]
-    assert events
-    assert all(e.get("transport") == "pickle-fallback" for e in events)
-    assert runner.shm_prefix is not None
-    assert shm.list_segments(runner.shm_prefix) == []
-
-
 # ------------------------------------------------------------ telemetry layer
 
 
-def test_shm_chunk_events_report_zero_pickle_seconds(tmp_path):
-    log = tmp_path / "events.jsonl"
-    rec = configure(log_path=log)
-    try:
-        run_with(2, "shm", recorder=rec)
-    finally:
-        set_recorder(NullRecorder())
-    events = [e for e in read_events(log) if e.get("type") == "chunk_end"]
-    assert len(events) == N_CHUNKS
-    for event in events:
-        assert event["transport"] == "shm"
-        assert event["pickle_seconds"] == 0.0
-        assert event["shm_bytes"] > 0
-        # The pipe carried a handle, not the payload: far smaller.
-        assert event["ipc_bytes"] < event["shm_bytes"]
-
-
 def test_explicit_pickle_transport_has_no_shm_fields(tmp_path):
-    log = tmp_path / "events.jsonl"
-    rec = configure(log_path=log)
-    try:
-        run_with(2, "pickle", recorder=rec)
-    finally:
-        set_recorder(NullRecorder())
-    events = [e for e in read_events(log) if e.get("type") == "chunk_end"]
+    """chunk_end accounts the pickled payload and nothing slab-shaped."""
+    events = logged_chunk_ends(tmp_path)
     assert len(events) == N_CHUNKS
     for event in events:
-        assert event["transport"] == "pickle"
-        assert "shm_bytes" not in event
+        chunk = HittingTimeSample(
+            times=np.zeros(event["n"], dtype=np.int64), horizon=HORIZON
+        )
+        assert event["ipc_bytes"] >= len(
+            pickle.dumps(chunk, protocol=pickle.HIGHEST_PROTOCOL)
+        )
+        assert event["pickle_seconds"] >= 0.0
+        assert event["unpickle_seconds"] >= 0.0
+        for retired in ("shm_bytes", "shm_seconds", "transport"):
+            assert retired not in event
+
+
+def test_profile_and_report_render_logs_with_retired_shm_fields(tmp_path):
+    """Logs from runs that shipped results as shm slabs still load."""
+    logged_chunk_ends(tmp_path)
+    events = read_events(tmp_path / "events.jsonl")
+    for event in events:
+        if event.get("type") == "chunk_end":
+            event.update(
+                ipc_bytes=115, shm_bytes=3232, shm_seconds=0.0004,
+                pickle_seconds=0.0, unpickle_seconds=0.0, transport="shm",
+            )
+    incident = dict(events[-2], type="incident", kind="shm_unavailable",
+                    action="pickle-transport")
+    events.insert(-1, incident)
+    profile = render_profile(events)
+    assert "IPC:" in profile
+    assert "slowest" in profile
+    assert render_report(events)
