@@ -1,7 +1,8 @@
 """Throughput and determinism of the declarative sweep scheduler.
 
-One smoke-size grid (8 points) runs twice -- serially (``workers=0``)
-and through the shared worker pool -- and the benchmark:
+One smoke-size grid (8 points) runs serially (``workers=0``) and
+through a 2-worker pool -- the same Runner chunk loop with an in-process
+or a process-pool executor -- and the benchmark:
 
 * **asserts two-way bit-identity**: every point's sample and parallel
   estimates must match element-for-element across both executions.  This
@@ -15,9 +16,14 @@ and through the shared worker pool -- and the benchmark:
   "speedup" on a single CPU -- so on a clamped host the snapshot carries
   ``"clamped": true`` and *no* ``pool_speedup`` key at all (see
   :func:`repro.telemetry.bench_history.pool_speedup_record`).
+
+Both legs are warmed up once untimed (imports, CDF tables, pool start-up),
+then timed as alternating serial/pooled pairs; the recorded seconds are
+the medians over the pairs, so host drift hits both legs alike.
 """
 
 import os
+import statistics
 import time
 
 import numpy as np
@@ -28,7 +34,8 @@ from repro.sweep import SweepSpec, run_sweep
 from repro.telemetry.bench_history import pool_speedup_record
 
 _SEED = 0
-_REQUESTED_WORKERS = 4
+_REQUESTED_WORKERS = 2
+_PAIRS = 3
 _WORKERS = max(1, min(_REQUESTED_WORKERS, os.cpu_count() or 1))
 
 
@@ -50,15 +57,21 @@ def _run(workers: int):
 
 def test_sweep_pool_is_deterministic_and_timed(benchmark):
     """Pooled grid matches serial bit-for-bit."""
-    serial, serial_seconds = _run(workers=0)  # also warms imports/tables
-
-    benchmark.pedantic(_run, args=(_WORKERS,), rounds=1, iterations=1)
-    pooled, pooled_seconds = _run(_WORKERS)
+    # Untimed warm-ups, one per leg.
+    serial, _ = _run(workers=0)
+    pooled, _ = benchmark.pedantic(_run, args=(_WORKERS,), rounds=1, iterations=1)
 
     assert len(serial) == len(pooled) == 8
     for a, b in zip(serial, pooled):
         np.testing.assert_array_equal(a.sample.times, b.sample.times)
         np.testing.assert_array_equal(a.parallel, b.parallel)
+
+    serial_times, pooled_times = [], []
+    for _ in range(_PAIRS):
+        serial_times.append(_run(workers=0)[1])
+        pooled_times.append(_run(_WORKERS)[1])
+    serial_seconds = statistics.median(serial_times)
+    pooled_seconds = statistics.median(pooled_times)
 
     record = pool_speedup_record(
         serial_seconds,
@@ -73,17 +86,14 @@ def test_sweep_pool_is_deterministic_and_timed(benchmark):
         else "clamped host -- no speedup verdict"
     )
     print(
-        f"\nsweep 8 points x 2000 walks: serial {serial_seconds:.3f}s | "
-        f"pooled x{_WORKERS} {pooled_seconds:.3f}s | {verdict} "
+        f"\nsweep 8 points x 2000 walks, median of {_PAIRS} pairs: serial "
+        f"{serial_seconds:.3f}s | pooled x{_WORKERS} {pooled_seconds:.3f}s | {verdict} "
         f"on {os.cpu_count()} CPU(s) | bit-identical: yes"
     )
     record_bench(
         "sweep",
         {
             **record,
-            # Tombstones: scrub the retired shm-vs-pickle transport pair.
-            "sweep_shm_seconds": None,
-            "sweep_pickle_seconds": None,
             "n_points": len(serial),
             "n_walks_per_point": 2_000,
             "bit_identical": True,

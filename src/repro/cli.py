@@ -60,6 +60,7 @@ from repro.experiments.common import (
     add_registry_arguments,
     add_runner_arguments,
     add_telemetry_arguments,
+    bounded,
     finish_telemetry,
     register_run,
     run_accepts_runner,
@@ -335,13 +336,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--workers",
-        type=int,
+        type=bounded(int, 0),
         default=2,
         help="pool size for pooled scenarios (default 2)",
     )
     chaos.add_argument(
         "--chunk-timeout",
-        type=float,
+        type=bounded(float, 0, strict=True),
         default=1.0,
         dest="chunk_timeout",
         help="hung-chunk watchdog timeout in seconds (default 1)",

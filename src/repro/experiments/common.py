@@ -181,6 +181,27 @@ def validate_scale(scale: str) -> str:
     return scale
 
 
+def bounded(convert, low, *, strict: bool = False):
+    """An argparse ``type=`` that also rejects values below ``low``.
+
+    With ``strict`` the bound itself is rejected too.  Out-of-range (and
+    NaN) values become usage errors -- exit 2 with a message -- instead
+    of a traceback from the code that would have used them.
+    """
+
+    def parse(text: str):
+        value = convert(text)
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {low}, got {text!r}"
+            )
+        return value
+
+    # argparse names the type in its "invalid int value" message.
+    parse.__name__ = convert.__name__
+    return parse
+
+
 def add_runner_arguments(parser: argparse.ArgumentParser) -> None:
     """Install the fault-tolerant runner's CLI flags on ``parser``."""
     parser.add_argument(
@@ -196,19 +217,19 @@ def add_runner_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--max-seconds",
-        type=float,
+        type=bounded(float, 0),
         default=None,
         help="walltime budget; expiry returns partial (degraded) samples",
     )
     parser.add_argument(
         "--workers",
-        type=int,
+        type=bounded(int, 0),
         default=0,
         help="run chunks in a process pool of this size (0 = in-process)",
     )
     parser.add_argument(
         "--chunks",
-        type=int,
+        type=bounded(int, 1),
         default=None,
         help="chunks per sampling call (default 8 when a runner is active)",
     )
@@ -231,7 +252,7 @@ def add_runner_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--chunk-timeout",
-        type=float,
+        type=bounded(float, 0, strict=True),
         default=None,
         dest="chunk_timeout",
         help="hung-chunk watchdog: kill and reschedule any pooled chunk "
@@ -239,7 +260,7 @@ def add_runner_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--max-attempts",
-        type=int,
+        type=bounded(int, 1),
         default=None,
         dest="max_attempts",
         help="retry budget per chunk including the first try (default 4); "
@@ -247,7 +268,7 @@ def add_runner_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--quarantine-after",
-        type=int,
+        type=bounded(int, 1),
         default=None,
         dest="quarantine_after",
         metavar="N",

@@ -19,8 +19,8 @@ and makes each chunk durable the moment it finishes:
 * **isolation & retry** -- with ``workers >= 1`` chunks execute in a
   :class:`~concurrent.futures.ProcessPoolExecutor`; a hung chunk is
   detected by ``chunk_timeout``, the pool is killed and rebuilt, and the
-  chunk is retried with exponential backoff up to ``max_retries`` times
-  (likewise for workers that die outright);
+  chunk is retried with exponential backoff per the ``retry_policy``
+  (likewise for workers that die outright and for task errors);
 * **signals** -- inside a :func:`trap_signals` block, SIGINT/SIGTERM ask
   the runner to stop at the next chunk boundary; everything finished so
   far is already on disk and the outcome reports ``interrupted=True``.
@@ -33,7 +33,7 @@ import pickle
 import signal as _signal
 import tempfile
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -192,6 +192,27 @@ def _pool_initializer(descriptors) -> None:
         _shm.attach_tables(descriptors)
 
 
+class _InlineExecutor:
+    """The ``workers=0`` executor: runs each chunk in-process.
+
+    ``submit`` computes the chunk at once and returns a finished
+    :class:`~concurrent.futures.Future`, so the serial path goes through
+    the pool's submit/collect loop unchanged.  Only ``Exception`` is
+    captured: a second SIGINT's ``KeyboardInterrupt`` still escapes.
+    """
+
+    def submit(self, fn, *args) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+        pass
+
+
 @dataclass(frozen=True)
 class Job:
     """One task execution request for :meth:`Runner.run_many`.
@@ -210,7 +231,7 @@ class Job:
 
 @dataclass
 class _JobState:
-    """Mutable per-job bookkeeping shared by the scheduling loops."""
+    """Mutable per-job bookkeeping for the chunk loop."""
 
     task: Any
     plan: ChunkPlan
@@ -281,9 +302,10 @@ class Runner:
     n_chunks:
         Default chunk count; clamped to ``[1, n_total]`` per call.
     workers:
-        0 runs chunks serially in-process; ``>= 1`` runs them in a process
-        pool of that size (isolation: a dying or hanging worker cannot take
-        the parent down).
+        0 runs chunks one at a time in-process; ``>= 1`` runs them in a
+        process pool of that size (isolation: a dying or hanging worker
+        cannot take the parent down).  Both go through the same chunk
+        loop, so the merged sample does not depend on this.
     max_seconds:
         Walltime budget shared across all ``run()`` calls of this Runner
         (the clock starts at the first call).  Expiry degrades, never raises.
@@ -292,18 +314,14 @@ class Runner:
         from inside the engine round loop, and a chunk silent for longer
         than this is declared hung by the watchdog, its pool killed, and
         the chunk retried (a slow-but-heartbeating straggler is left
-        alone).
-    max_retries:
-        Retry budget per chunk for worker death / timeout / task errors
-        (shorthand for ``retry_policy.max_attempts = max_retries + 1``).
-    backoff_base:
-        First retry sleeps this many seconds, doubling per attempt.
+        alone).  Workers heartbeat every ``chunk_timeout / 5`` seconds
+        (clamped to ``[0.02, 0.5]``).  Must be positive.
     retry_policy:
-        Full declarative control over retry behaviour
+        Retry behaviour for worker death / timeout / task errors
         (:class:`~repro.runner.supervision.RetryPolicy`): attempt budget,
         backoff shape, deterministic jitter, error classification, and
-        the per-point circuit breaker (``quarantine_after``).  When given
-        it supersedes ``max_retries``/``backoff_base``.
+        the per-point circuit breaker (``quarantine_after``).  ``None``
+        uses ``RetryPolicy()``: 4 attempts, backoff from 0.05 s.
     resource_guards:
         Optional :class:`~repro.runner.supervision.ResourceGuards`
         disk/memory watermarks; tripping one degrades checkpointing to
@@ -340,21 +358,20 @@ class Runner:
         workers: int = 0,
         max_seconds: Optional[float] = None,
         chunk_timeout: Optional[float] = None,
-        max_retries: int = 3,
-        backoff_base: float = 0.05,
         resume: bool = False,
         fault_injector: Optional[FaultInjector] = None,
         convergence: Optional[ConvergenceConfig] = None,
         recorder=None,
         retry_policy: Optional[RetryPolicy] = None,
         resource_guards: Optional[ResourceGuards] = None,
-        heartbeat_interval: Optional[float] = None,
         ring_rounds: int = 0,
     ) -> None:
         if n_chunks < 1:
             raise ValueError(f"n_chunks must be positive, got {n_chunks}")
         if workers < 0:
             raise ValueError(f"workers must be non-negative, got {workers}")
+        if chunk_timeout is not None and not chunk_timeout > 0:
+            raise ValueError(f"chunk_timeout must be positive, got {chunk_timeout}")
         if ring_rounds < 0:
             raise ValueError(f"ring_rounds must be non-negative, got {ring_rounds}")
         self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
@@ -362,17 +379,8 @@ class Runner:
         self.workers = int(workers)
         self.max_seconds = max_seconds
         self.chunk_timeout = chunk_timeout
-        self.max_retries = int(max_retries)
-        self.backoff_base = float(backoff_base)
-        self.retry_policy = (
-            retry_policy
-            if retry_policy is not None
-            else RetryPolicy(
-                max_attempts=self.max_retries + 1, backoff_base=self.backoff_base
-            )
-        )
+        self.retry_policy = retry_policy or RetryPolicy()
         self.resource_guards = resource_guards
-        self.heartbeat_interval = heartbeat_interval
         #: Engine block depth for the interleaved walker-ring loop; 0/1
         #: keeps the legacy round-by-round loop.  Applied in serial and
         #: pooled execution alike (worker-count invariance holds per
@@ -514,7 +522,7 @@ class Runner:
         """Check the two between-chunk stop conditions, emitting the event.
 
         Returns ``"signal"``/``"deadline"`` (and records it) or ``None``.
-        Each caller returns immediately on a non-None reason, so the
+        The chunk loop returns immediately on a non-None reason, so the
         event is emitted once per stop, not once per remaining chunk.
         """
         reason = None
@@ -526,15 +534,6 @@ class Runner:
             rec.event(reason, label=label, completed=completed, total=total)
             rec.metrics.counter(f"runner.{reason}_stops").add()
         return reason
-
-    def _converged_stop(self, rec, label: str, monitor, completed: int, total: int) -> str:
-        """Record a successful sequential stop (CI target met) once."""
-        rec.event(
-            "converged", label=label, completed=completed, total=total,
-            **monitor.stop_fields(),
-        )
-        rec.metrics.counter("runner.converged_stops").add()
-        return "converged"
 
     def _build_monitor(self, rec, label: str, completed: Dict[int, Any]):
         """A convergence monitor when stopping or telemetry wants one.
@@ -757,10 +756,7 @@ class Runner:
             self._check_resources(resources, states, rec, force=True)
         global_reason: Optional[str] = None
         if any(len(s.completed) < s.plan.n_chunks for s in states):
-            if self.workers >= 1:
-                global_reason = self._run_pooled(states, rec, resources)
-            else:
-                global_reason = self._run_serial(states, rec, resources)
+            global_reason = self._run_chunks(states, rec, resources)
         return [self._finalize(state, rec, global_reason) for state in states]
 
     # ------------------------------------------------------------ scheduling
@@ -775,78 +771,6 @@ class Runner:
                 if chunk < state.plan.n_chunks and chunk not in state.completed:
                     queue.append((state, chunk))
         return queue
-
-    @staticmethod
-    def _profiling(rec) -> bool:
-        """True when the parent recorder wants engine phase profiles."""
-        return rec.enabled and getattr(rec, "profile", None) is not None
-
-    def _run_serial(
-        self, states: Sequence[_JobState], rec, resources: Optional[ResourceMonitor] = None
-    ) -> Optional[str]:
-        """Run all pending chunks in-process; returns a global stop reason."""
-        profile = self._profiling(rec)
-        for state, index in self._interleaved(states):
-            if state.stopped:
-                continue
-            reason = self._stop_reason(
-                rec, state.label, len(state.completed), state.plan.n_chunks
-            )
-            if reason is not None:
-                return reason
-            if state.monitor is not None and state.monitor.should_stop():
-                state.reason = self._converged_stop(
-                    rec, state.label, state.monitor,
-                    len(state.completed), state.plan.n_chunks,
-                )
-                continue
-            self._check_resources(resources, states, rec)
-            while True:
-                attempt = state.attempts.get(index, 0) + 1
-                # worker_id on chunk_start is serial-only: a pooled
-                # chunk's worker is unknown until its result comes back.
-                rec.event(
-                    "chunk_start", label=state.label, chunk=index,
-                    n=state.sizes[index], attempt=attempt, worker_id=os.getpid(),
-                )
-                chunk_started = time.monotonic()
-                try:
-                    _, payload, meta = _execute_chunk(
-                        state.task, index, state.sizes[index], state.seeds[index],
-                        self.fault_injector, attempt, None, profile,
-                        self.ring_rounds,
-                    )
-                    payload = self._screen_payload(state, index, attempt, payload)
-                except Exception as exc:
-                    verdict = self._handle_failure(
-                        state, index, f"{type(exc).__name__}: {exc}", rec, exc
-                    )
-                    if verdict == "quarantined":
-                        break
-                    time.sleep(
-                        self.retry_policy.backoff(
-                            state.attempts[index],
-                            chunk_retry_key(state.label, index),
-                        )
-                    )
-                    continue
-                # Outside the retry guard on purpose: a checkpoint-hook
-                # fault (FaultInjected) simulates parent death and must
-                # propagate, not be retried.
-                self._write_checkpoint(
-                    state.store, state.task, index, payload, state.sizes[index],
-                    rec, state.label,
-                )
-                state.completed[index] = payload
-                chunk_seconds = time.monotonic() - chunk_started
-                self._record_chunk_end(
-                    rec, state.label, index, state.sizes[index], chunk_seconds,
-                    attempt, meta=meta,
-                )
-                if state.monitor is not None:
-                    state.monitor.observe_chunk(index, payload, chunk_seconds)
-                break
-        return "signal" if stop_requested() else None
 
     def _record_chunk_end(
         self,
@@ -907,35 +831,44 @@ class Runner:
                     ipc.get("unpickle_seconds", 0.0)
                 )
 
-    # -------------------------------------------------------------- pool mode
+    # ------------------------------------------------------------ chunk loop
 
-    def _kill_pool(self, executor: ProcessPoolExecutor) -> None:
+    def _kill_pool(self, executor) -> None:
         # ProcessPoolExecutor has no public "abandon a running worker": a
         # hung or poisoned worker must be killed or shutdown() blocks on it.
         for process in list(getattr(executor, "_processes", {}).values()):
             process.kill()
         executor.shutdown(wait=False, cancel_futures=True)
 
-    def _run_pooled(
+    def _run_chunks(
         self, states: Sequence[_JobState], rec, resources: Optional[ResourceMonitor] = None
     ) -> Optional[str]:
-        """Run all pending chunks over one shared process pool.
+        """Run all pending chunks through one submit/collect loop.
+
+        ``workers >= 1`` submits to a shared process pool of that size;
+        ``workers=0`` to an :class:`_InlineExecutor` that runs each chunk
+        in-process inside ``submit``.  Queueing, retries, convergence and
+        checkpointing are the same code either way, so serial == pooled
+        holds by construction.
 
         Returns a global stop reason ("deadline"/"signal") or None; per-job
         convergence stops are recorded on each job's ``_JobState.reason``
-        and simply release that job's queued chunks back to the pool.
+        and simply release that job's queued chunks to the other jobs.
 
-        With ``chunk_timeout`` set, a :class:`Supervisor` watchdog watches
-        per-chunk heartbeat files that workers touch from inside the
-        engine round loops; a chunk silent past the timeout gets its pool
-        killed and is rescheduled from its original seed (bit-identical),
-        while a slow-but-heartbeating straggler is left alone.
+        With ``chunk_timeout`` set (pool only), a :class:`Supervisor`
+        watchdog watches per-chunk heartbeat files that workers touch from
+        inside the engine round loops; a chunk silent past the timeout gets
+        its pool killed and is rescheduled from its original seed
+        (bit-identical), while a slow-but-heartbeating straggler is left
+        alone.
         """
         queue = self._interleaved(states)
-        profile = self._profiling(rec)
+        # Engine phase profiles are drained per chunk when the parent wants them.
+        profile = rec.enabled and getattr(rec, "profile", None) is not None
+        pooled = self.workers >= 1
         registry: Optional[_shm.SharedTableRegistry] = None
         table_descriptors: Tuple[_shm.TableSegment, ...] = ()
-        if _shm.shm_available():
+        if pooled and _shm.shm_available():
             # Publish every job's CDF tables once; workers of every pool
             # this run builds (rebuilds included) attach the same
             # segments via the pool initializer.  Without named shared
@@ -951,21 +884,36 @@ class Runner:
                     bytes=registry.nbytes,
                 )
                 rec.metrics.counter("runner.shm_table_bytes").add(registry.nbytes)
-        executor: Optional[ProcessPoolExecutor] = None
-        # future -> (job state, chunk index, submit time)
+        executor = None
+        # future -> (job state, chunk index, start time)
         inflight: Dict[Any, Tuple[_JobState, int, float]] = {}
-        poll = 0.05 if self.chunk_timeout is None else min(0.05, self.chunk_timeout / 4)
+        poll = 0.05
         supervisor: Optional[Supervisor] = None
         hb_interval = 0.0
-        if self.chunk_timeout is not None:
-            supervisor = Supervisor(
-                tempfile.mkdtemp(prefix="repro-hb-"), float(self.chunk_timeout)
-            ).start()
-            hb_interval = (
-                float(self.heartbeat_interval)
-                if self.heartbeat_interval is not None
-                else max(0.02, min(0.5, float(self.chunk_timeout) / 5.0))
+        if pooled and self.chunk_timeout is not None:
+            timeout = float(self.chunk_timeout)
+            poll = min(poll, timeout / 4)
+            supervisor = Supervisor(tempfile.mkdtemp(prefix="repro-hb-"), timeout).start()
+            hb_interval = max(0.02, min(0.5, timeout / 5.0))
+
+        def converge(state: _JobState) -> None:
+            """Stop a job whose CI target is met, dropping its queued chunks.
+
+            A job with nothing left queued just finishes: ``converged``
+            describes runs that skipped work.  Its in-flight chunks are
+            left to finish (or die with the pool).
+            """
+            if state.stopped or state.monitor is None or not state.monitor.should_stop():
+                return
+            if not any(s is state for s, _ in queue):
+                return
+            state.reason = "converged"
+            queue[:] = [(s, i) for s, i in queue if s is not state]
+            rec.event(
+                "converged", label=state.label, completed=len(state.completed),
+                total=state.plan.n_chunks, **state.monitor.stop_fields(),
             )
+            rec.metrics.counter("runner.converged_stops").add()
 
         def requeue(entries) -> None:
             """Handle failed (job, chunk, reason, error) tuples.
@@ -995,9 +943,21 @@ class Runner:
                 time.sleep(delay)
 
         def rebuild_pool(label: str, reason: str) -> None:
+            """Kill the pool and drop its in-flight chunks; the next loop
+            iteration builds a fresh pool."""
+            nonlocal executor
+            for state, index, _ in inflight.values():
+                if supervisor is not None:
+                    supervisor.unregister(state.label, index)
+            inflight.clear()
+            self._kill_pool(executor)
+            executor = None
             rec.event("pool_rebuild", label=label, reason=reason)
             rec.metrics.counter("runner.pool_rebuilds").add()
 
+        # A resumed job's checkpointed chunks may already meet its target.
+        for state in states:
+            converge(state)
         try:
             while queue or inflight:
                 probe = next((s for s in states if not s.stopped), states[0])
@@ -1006,34 +966,23 @@ class Runner:
                 )
                 if reason is not None:
                     return reason
-                newly_stopped = False
-                for state in states:
-                    if state.stopped or state.monitor is None:
-                        continue
-                    if state.monitor.should_stop():
-                        # The job's in-flight chunks are left to finish (or
-                        # die with the pool); its queued chunks are dropped
-                        # so the freed slots go to unresolved jobs.
-                        state.reason = self._converged_stop(
-                            rec, state.label, state.monitor,
-                            len(state.completed), state.plan.n_chunks,
-                        )
-                        newly_stopped = True
-                if newly_stopped:
-                    queue = [(s, i) for s, i in queue if not s.stopped]
-                if all(s.stopped for s in states):
-                    # Every job resolved: abandon in-flight chunks (the
-                    # finally block kills the pool); completed chunks are
-                    # checkpointed.
+                if not queue and all(s.stopped for s, _, _ in inflight.values()):
+                    # Only resolved jobs' chunks are left in flight: abandon
+                    # them (the finally block kills the pool); completed
+                    # chunks are checkpointed.
                     return None
                 self._check_resources(resources, states, rec)
                 if executor is None:
-                    executor = ProcessPoolExecutor(
-                        max_workers=self.workers,
-                        initializer=_pool_initializer,
-                        initargs=(table_descriptors,),
+                    executor = (
+                        ProcessPoolExecutor(
+                            max_workers=self.workers,
+                            initializer=_pool_initializer,
+                            initargs=(table_descriptors,),
+                        )
+                        if pooled
+                        else _InlineExecutor()
                     )
-                while queue and len(inflight) < self.workers:
+                while queue and len(inflight) < max(1, self.workers):
                     state, index = queue.pop(0)
                     attempt = state.attempts.get(index, 0) + 1
                     heartbeat = None
@@ -1042,6 +991,18 @@ class Runner:
                             supervisor.register(state.label, index),
                             hb_interval,
                         )
+                    # Emitted before submit: the inline executor finishes
+                    # the chunk inside submit.  A pooled chunk's worker is
+                    # unknown until its result comes back.
+                    rec.event(
+                        "chunk_start",
+                        label=state.label,
+                        chunk=index,
+                        n=state.sizes[index],
+                        attempt=attempt,
+                        **({} if pooled else {"worker_id": os.getpid()}),
+                    )
+                    started = time.monotonic()
                     future = executor.submit(
                         _execute_chunk,
                         state.task,
@@ -1054,18 +1015,11 @@ class Runner:
                         profile,
                         self.ring_rounds,
                     )
-                    inflight[future] = (state, index, time.monotonic())
-                    rec.event(
-                        "chunk_start",
-                        label=state.label,
-                        chunk=index,
-                        n=state.sizes[index],
-                        attempt=attempt,
-                    )
+                    inflight[future] = (state, index, started)
                 done, _ = wait(list(inflight), timeout=poll, return_when=FIRST_COMPLETED)
                 broken: List[Tuple[_JobState, int]] = []
                 for future in done:
-                    state, index, _submitted = inflight.pop(future)
+                    state, index, started = inflight.pop(future)
                     if supervisor is not None:
                         supervisor.unregister(state.label, index)
                     attempt = state.attempts.get(index, 0) + 1
@@ -1075,17 +1029,20 @@ class Runner:
                     except BrokenProcessPool:
                         broken.append((state, index))
                         continue
-                    except Exception as exc:  # task error inside the worker
+                    except Exception as exc:  # task error inside the chunk
                         requeue([(state, index, f"{type(exc).__name__}: {exc}", exc)])
                         continue
+                    # Outside the retry guard on purpose: a checkpoint-hook
+                    # fault (FaultInjected) simulates parent death and must
+                    # propagate, not be retried.
                     self._write_checkpoint(
                         state.store, state.task, index, payload,
                         state.sizes[index], rec, state.label,
                     )
                     state.completed[index] = payload
-                    chunk_seconds = time.monotonic() - _submitted
+                    chunk_seconds = time.monotonic() - started
                     ipc = None
-                    if rec.enabled:
+                    if pooled and rec.enabled:
                         # Pool IPC accounting: the executor already paid
                         # one pickle/unpickle moving this payload across
                         # the process boundary; re-serializing it here
@@ -1108,25 +1065,13 @@ class Runner:
                     )
                     if state.monitor is not None:
                         state.monitor.observe_chunk(index, payload, chunk_seconds)
+                        converge(state)
                 if broken:
                     # The pool is poisoned: every other in-flight chunk is
                     # lost with it.  Rebuild and retry them all.
-                    broken.extend(
-                        (state, index) for state, index, _ in inflight.values()
-                    )
-                    for state, index, _ in inflight.values():
-                        if supervisor is not None:
-                            supervisor.unregister(state.label, index)
-                    inflight.clear()
-                    self._kill_pool(executor)
-                    executor = None
+                    broken.extend((s, i) for s, i, _ in inflight.values())
                     rebuild_pool(probe.label, "worker process died")
-                    lost, seen = [], set()
-                    for state, index in broken:
-                        if (id(state), index) not in seen:
-                            seen.add((id(state), index))
-                            lost.append((state, index, "worker process died", None))
-                    requeue(lost)
+                    requeue([(s, i, "worker process died", None) for s, i in broken])
                     continue
                 hung = supervisor.take_hung() if supervisor is not None else {}
                 if hung:
@@ -1151,7 +1096,6 @@ class Runner:
                         rec.metrics.counter("runner.hung_chunks").add()
                     lost = []
                     for state, index, _ in inflight.values():
-                        supervisor.unregister(state.label, index)
                         if (state.label, index) in hung:
                             reason = (
                                 f"no heartbeat for {hung[(state.label, index)]:.1f}s "
@@ -1160,9 +1104,6 @@ class Runner:
                         else:
                             reason = "pool killed to recover a hung chunk"
                         lost.append((state, index, reason, None))
-                    inflight.clear()
-                    self._kill_pool(executor)
-                    executor = None
                     rebuild_pool(
                         probe.label,
                         f"hung-chunk watchdog ({self.chunk_timeout}s timeout)",

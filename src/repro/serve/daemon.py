@@ -28,6 +28,7 @@ finish, their finals land in the cache, and the process exits 0.
 from __future__ import annotations
 
 import asyncio
+import os
 import time
 from pathlib import Path
 from typing import AsyncIterator, Dict, List, Optional
@@ -342,16 +343,13 @@ async def _handle_estimate(
     )
 
 
-async def serve_forever(
-    address: Address,
-    service: EstimationService,
-    *,
-    ready: Optional[asyncio.Event] = None,
-) -> None:
+async def serve_forever(address: Address, service: EstimationService) -> None:
     """Run the daemon until SIGTERM/SIGINT or a ``shutdown`` op.
 
-    ``address`` is a unix-socket path or a ``(host, port)`` pair.  A
-    stale unix socket from a dead daemon is unlinked before binding.
+    ``address`` is a unix-socket path or a ``(host, port)`` pair.  The
+    unix socket is bound and put into listening state under a temporary
+    name and only then renamed to ``address`` (replacing a stale socket
+    from a dead daemon), so a client that sees the path can connect.
     The socket is removed on the way out; pending connections finish
     their current response line.
     """
@@ -375,9 +373,12 @@ async def serve_forever(
     unix_path: Optional[Path] = None
     if isinstance(address, Path):
         unix_path = address
-        if unix_path.exists():
-            unix_path.unlink()
-        server = await asyncio.start_unix_server(handler, path=str(unix_path), limit=_MAX_LINE)
+        # asyncio creates the socket file at bind(), before listen().
+        staging = unix_path.with_name(f".{unix_path.name}.tmp")
+        with contextlib.suppress(FileNotFoundError):
+            staging.unlink()
+        server = await asyncio.start_unix_server(handler, path=str(staging), limit=_MAX_LINE)
+        os.replace(staging, unix_path)  # also replaces a dead daemon's socket
     else:
         host, port = address
         server = await asyncio.start_server(handler, host=host, port=port, limit=_MAX_LINE)
@@ -387,8 +388,6 @@ async def serve_forever(
         address=str(address),
         cache_entries=len(service.cache),
     )
-    if ready is not None:
-        ready.set()
     try:
         async with server:
             await stop.wait()

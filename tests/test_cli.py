@@ -42,6 +42,30 @@ def test_run_unknown_experiment_exits_2_with_message(capsys):
     assert "EXP-T1.6" in err  # the known-ids listing helps the user recover
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "EXP-T1.1", "--workers", "-1"],
+        ["run", "EXP-T1.1", "--chunks", "0"],
+        ["run", "EXP-T1.1", "--max-attempts", "0"],
+        ["run", "EXP-T1.1", "--quarantine-after", "0"],
+        ["run", "EXP-T1.1", "--chunk-timeout", "0"],
+        ["run", "EXP-T1.1", "--chunk-timeout", "-1"],
+        ["run", "EXP-T1.1", "--max-seconds", "-1"],
+        ["sweep", "--l", "8", "--workers", "-1"],
+        ["chaos", "--workers", "-1"],
+        ["chaos", "--chunk-timeout", "0"],
+    ],
+)
+def test_out_of_range_runner_flag_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "usage:" in err and f"argument {argv[-2]}" in err
+    assert "Traceback" not in err
+
+
 def test_seed_changes_nothing_for_deterministic_experiment(capsys):
     main(["run", "EXP-L3.2", "--scale", "smoke", "--seed", "1"])
     first = capsys.readouterr().out

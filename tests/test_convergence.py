@@ -22,7 +22,7 @@ from repro.analysis import (
     wilson_interval,
 )
 from repro.distributions.zeta import ZetaJumpDistribution
-from repro.runner import HittingTimeTask, Runner
+from repro.runner import HittingTimeTask, Job, Runner
 from repro.telemetry import (
     ConvergenceConfig,
     ConvergenceMonitor,
@@ -317,6 +317,23 @@ def test_pooled_run_converges_early():
     assert outcome.completed_chunks < outcome.total_chunks
     snapshot = recorder.metrics.snapshot()
     assert snapshot["runner.converged_stops"]["value"] == 1
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_job_meeting_target_on_its_last_chunk_is_not_converged(workers):
+    """``converged`` means work was skipped, at every worker count.
+
+    The 2-walk job meets its (loose) target on its second and last chunk
+    while its sibling still has chunks queued; only the sibling may stop
+    early.
+    """
+    config = ConvergenceConfig(rel_ci_width=10.0, min_chunks=2, min_successes=1)
+    tiny, sibling = Runner(
+        n_chunks=4, workers=workers, convergence=config
+    ).run_many([Job(make_task(), 2, 3, "tiny"), Job(make_task(), 400, 5, "big")])
+    assert tiny.payload.n_hits >= 1
+    assert tiny.complete and not tiny.converged
+    assert sibling.converged and sibling.completed_chunks < 4
 
 
 def test_run_without_target_never_converges():

@@ -29,6 +29,7 @@ from repro.runner import (
     FaultInjector,
     ForagingTask,
     HittingTimeTask,
+    RetryPolicy,
     Runner,
     RunnerState,
     arm,
@@ -68,6 +69,13 @@ def test_chunk_plan_child_seeds_are_deterministic():
     b = ChunkPlan(n_total=100, n_chunks=5, seed=9).child_seeds()
     for left, right in zip(a, b):
         assert left.generate_state(4).tolist() == right.generate_state(4).tolist()
+
+
+@pytest.mark.parametrize("timeout", [0, -1.0])
+def test_runner_rejects_non_positive_chunk_timeout(timeout):
+    # A zero timeout would declare every pooled chunk hung.
+    with pytest.raises(ValueError, match="chunk_timeout"):
+        Runner(workers=1, chunk_timeout=timeout)
 
 
 def test_chunk_plan_validation():
@@ -182,7 +190,7 @@ def test_hang_timeout_retry(tmp_path, reference):
         workers=1,
         chunk_timeout=1.0,
         fault_injector=injector,
-        backoff_base=0.01,
+        retry_policy=RetryPolicy(backoff_base=0.01),
     ).run(make_task(), N_WALKS, SEED)
     np.testing.assert_array_equal(outcome.payload.times, reference.times)
     assert outcome.retries >= 1
@@ -199,7 +207,7 @@ def test_worker_death_retry(tmp_path, reference):
         n_chunks=N_CHUNKS,
         workers=2,
         fault_injector=injector,
-        backoff_base=0.01,
+        retry_policy=RetryPolicy(backoff_base=0.01),
     ).run(make_task(), N_WALKS, SEED)
     np.testing.assert_array_equal(outcome.payload.times, reference.times)
     assert outcome.retries >= 1
@@ -219,9 +227,11 @@ class AlwaysFailingTask:
 
 def test_retry_budget_exhaustion_raises():
     with pytest.raises(ChunkFailedError):
-        Runner(n_chunks=2, workers=1, max_retries=1, backoff_base=0.01).run(
-            AlwaysFailingTask(), 10, SEED
-        )
+        Runner(
+            n_chunks=2,
+            workers=1,
+            retry_policy=RetryPolicy(max_attempts=2, backoff_base=0.01),
+        ).run(AlwaysFailingTask(), 10, SEED)
 
 
 # ------------------------------------------------- damaged checkpoint loads

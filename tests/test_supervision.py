@@ -202,7 +202,7 @@ def test_hung_worker_detected_and_rescheduled_bit_identical(tmp_path, reference)
             workers=2,
             chunk_timeout=1.0,
             fault_injector=injector,
-            backoff_base=0.01,
+            retry_policy=RetryPolicy(backoff_base=0.01),
             recorder=recorder,
         ).run(make_task(), N_WALKS, SEED)
         metrics = recorder.metrics.snapshot()
@@ -231,7 +231,7 @@ def test_slow_chunk_keeps_heartbeating_and_is_not_killed(tmp_path, reference):
             workers=2,
             chunk_timeout=1.0,
             fault_injector=plan,
-            backoff_base=0.01,
+            retry_policy=RetryPolicy(backoff_base=0.01),
         ).run(make_task(), N_WALKS, SEED)
     np.testing.assert_array_equal(outcome.payload.times, reference.times)
     assert outcome.complete and outcome.retries == 0
@@ -378,7 +378,7 @@ def test_sigterm_mid_pooled_sweep_resumes_bit_identical(tmp_path):
             workers=2,
             n_chunks=N_CHUNKS,
             fault_injector=plan,
-            backoff_base=0.01,
+            retry_policy=RetryPolicy(backoff_base=0.01),
         )
         with trap_signals():
             first = run_sweep(spec, seed=SEED, runner=runner, label="grid")
