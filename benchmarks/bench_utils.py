@@ -59,6 +59,7 @@ def record_bench(group: str, metrics: dict) -> Path:
 
 
 def _round(value):
+    # Six significant digits, not decimals: the jump-draw keys are ~1e-5 s.
     if isinstance(value, float):
-        return round(value, 6)
+        return float(f"{value:.6g}")
     return value

@@ -17,15 +17,26 @@ measurement as the headline ``*_mean_seconds`` key) and
 :func:`repro.distributions.cdf_table.legacy_sampling` on the same
 machine in the same run.  bench-history hard-gates the fused keys and
 warns when fused is not comfortably ahead of legacy (docs/performance.md).
+
+The jump draw itself is paired the same way:
+``jump_draw_n{250,20000}_fused_mean_seconds`` times
+:meth:`~repro.distributions.cdf_table.JumpCdfTable.sample` (breakpoint
+and guide lookup) at alpha = 2.2 on one round's uniforms, and
+``jump_draw_n{250,20000}_legacy_mean_seconds`` times the lazy-mask +
+``searchsorted`` inversion it replaced, kept inline below.
 """
 
 import numpy as np
+import pytest
 
 from bench_utils import record_bench
 from legacy_engines import legacy_ball_hitting_times, legacy_walk_hitting_times
 from repro.distributions.cdf_table import get_table, legacy_sampling
 from repro.distributions.zeta import ZetaJumpDistribution
-from repro.distributions.zipf_sampler import rejection_conditional_zipf
+from repro.distributions.zipf_sampler import (
+    rejection_conditional_zipf,
+    rejection_conditional_zipf_tail,
+)
 from repro.engine.samplers import HeterogeneousZetaSampler
 from repro.engine.vectorized import flight_hitting_times, walk_hitting_times
 from repro.lattice.direct_path import sample_direct_path_nodes
@@ -59,6 +70,47 @@ def test_zeta_distribution_sample(benchmark):
     law = ZetaJumpDistribution(2.5)
     benchmark(law.sample, rng, _N)
     _persist(benchmark, "zeta_distribution_sample")
+
+
+def _searchsorted_jump_draw(table, rng, u, out):
+    """The pre-index table draw: lazy mask, rescale, searchsorted, scatter."""
+    out[:] = 0
+    p = table.lazy_probability
+    moving = u >= p
+    v = (u[moving] - p) / (1.0 - p)
+    drawn = table.cdf.searchsorted(v, side="left") + 1
+    tail = drawn > table.length
+    if np.any(tail):
+        drawn[tail] = rejection_conditional_zipf_tail(
+            table.alpha, table.length, rng, int(tail.sum())
+        )
+    out[moving] = drawn
+    return out
+
+
+def _jump_draw_args(n):
+    table = get_table(2.2, 0.5)
+    u = np.random.default_rng(8).random(n)
+    return table, np.random.default_rng(9), u, np.empty(n, dtype=np.int64)
+
+
+@pytest.mark.parametrize("n", [250, 20_000])
+def test_jump_draw_fused(benchmark, n):
+    table, rng, u, out = _jump_draw_args(n)
+    benchmark(table.sample, rng, n, u, out)
+    _persist(benchmark, f"jump_draw_n{n}_fused")
+
+
+@pytest.mark.parametrize("n", [250, 20_000])
+def test_jump_draw_legacy(benchmark, n):
+    """The searchsorted draw, for the paired comparison."""
+    table, rng, u, out = _jump_draw_args(n)
+    benchmark(_searchsorted_jump_draw, table, rng, u, out)
+    _persist(benchmark, f"jump_draw_n{n}_legacy")
+    np.testing.assert_array_equal(
+        _searchsorted_jump_draw(table, np.random.default_rng(9), u, out),
+        table.sample(np.random.default_rng(9), n, u),
+    )
 
 
 def test_ring_offset_sampler(benchmark):

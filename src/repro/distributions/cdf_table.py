@@ -5,19 +5,34 @@ drawing jump distances from the conditional Zipf law ``P(d = i | d >= 1)
 = i^(-alpha) / zeta(alpha)`` (Eq. 3).  The exact Devroye rejection
 sampler (:func:`~repro.distributions.zipf_sampler.rejection_conditional_zipf`)
 costs two to three fresh ``power`` evaluations per draw *every round*;
-this module trades a one-time precomputation for a single ``searchsorted``
-per round:
+this module trades a one-time precomputation for one O(1) indexed lookup
+per draw:
 
 * a :class:`JumpCdfTable` stores ``F(i) = P(d <= i | d >= 1)`` for
   ``i = 1..L`` where ``L`` is chosen so the table covers at least
   ``1 - 1e-6`` of the conditional mass (or the full mass, for capped
-  laws).  A draw is ``searchsorted(F, v) + 1`` with ``v ~ U[0, 1)`` --
-  the exact inverse CDF on the covered range;
+  laws).  The draw is the exact inverse CDF on the covered range: with
+  lazy probability ``p`` and ``u ~ U[0, 1)``, ``d = 0`` if ``u < p``, and
+  otherwise ``d`` is the smallest ``i`` with ``F(i) >= v`` for
+  ``v = (u - p) / (1 - p)``, which is again uniform and independent of the
+  lazy indicator -- one ``rng.random`` feeds both decisions, and engines
+  batch all of a round's uniforms into one generator call;
+* the draw runs in ``u`` space, without the lazy mask or the rescale.
+  ``v(u)`` is monotone in floating point, so ``d = #{k : B[k] <= u}``
+  for breakpoints ``B[0] = p`` and ``B[k]`` = the smallest float64 ``u``
+  with ``v(u) > F(k)``, found once at build time.  A guide table over
+  ``M >= L + 1`` equal buckets of ``[0, 1)`` (``M`` a power of two, so
+  ``u * M`` is exact) holds the count at each bucket's left edge, and at
+  most one more breakpoint lies inside a bucket: a draw is one guide
+  probe plus one comparison (the indexed search of Chen & Asau; Devroye
+  1986, ch. III).  The few buckets crowded with two or more breakpoints
+  hold a sentinel and resolve by ``searchsorted`` on just their rows.
+  Every draw is bit-identical to the plain ``searchsorted`` inversion;
 * the rare draws with ``v`` beyond the covered mass fall back to the
   exact tail sampler
   :func:`~repro.distributions.zipf_sampler.rejection_conditional_zipf_tail`
-  (conditioned on ``d > L``), so the combined law is *identical* to the
-  legacy samplers, not an approximation;
+  (conditioned on ``d > L``, in row order), so the combined law is
+  *identical* to the legacy samplers, not an approximation;
 * tables live in a process-global bounded LRU cache keyed by
   ``(alpha, lazy_probability, cap)``, so pooled Runner workers and every
   ``GridPoint`` of a sweep reuse one table per law instead of re-deriving
@@ -29,18 +44,13 @@ required length grows like ``(1/tail)^(1/(alpha-1))``) are recorded as
 *untabulated* and keep using the legacy samplers, which are already fast
 in that regime.
 
-The lazy phase is fused into the same uniform: with lazy probability
-``p``, a draw ``u ~ U[0, 1)`` is lazy iff ``u < p``, and otherwise
-``v = (u - p) / (1 - p)`` is again uniform and independent of the lazy
-indicator -- one ``rng.random`` feeds both decisions.  Engines exploit
-this by batching all of a round's uniforms into one generator call.
-
-RNG-stream note: routing through tables changes the *order* in which the
+RNG-stream note: routing through tables changed the *order* in which the
 underlying bit stream is consumed, so samples for a fixed seed differ
 from pre-table releases (a one-time documented break, see
-``docs/performance.md``).  Determinism contracts are unchanged: for a
-fixed seed the stream is reproducible, and worker-count / resume
-invariance holds because tables carry no RNG state.
+``docs/performance.md``).  The indexed lookup did not change the
+mapping again.  Determinism contracts are unchanged: for a fixed seed
+the stream is reproducible, and worker-count / resume invariance holds
+because tables carry no RNG state.
 
 The escape hatch :func:`legacy_sampling` disables table routing inside a
 ``with`` block; the ground-truth statistical tests use it to compare the
@@ -65,22 +75,25 @@ from repro.distributions.zipf_sampler import (
 #: the conditional (``d >= 1``) law.
 TAIL_MASS = 1e-6
 
-#: Hard per-table length bound (float64 entries; 1 << 20 is 8 MiB).  Laws
+#: Hard per-table length bound.  A table of ``L`` entries holds ``8 L``
+#: bytes of CDF, ``8 (L + 2)`` of breakpoints and ``4 M`` of int32 guide
+#: (``M`` the power of two ``>= L + 1``): 24 MiB at ``L = 1 << 20``.  Laws
 #: needing more entries than this for the target coverage stay on the
 #: legacy samplers.
 MAX_TABLE_ENTRIES = 1 << 20
 
 #: Default bound on the number of cached tables (LRU eviction beyond it).
-#: Worst-case cache memory is ``MAX_TABLE_ENTRIES * 8 * CACHE_MAX_TABLES``
-#: bytes (128 MiB at the defaults); typical sweeps use a handful of small
-#: tables (a few thousand entries each).
+#: Worst-case cache memory is 24 MiB per table, 384 MiB at the defaults;
+#: typical sweeps use a handful of small tables (``alpha = 2.5`` is
+#: 6 274 entries, 132 KiB in all).
 CACHE_MAX_TABLES = 16
 
 _Key = Tuple[float, float, Optional[int]]
 
 
 class JumpCdfTable:
-    """Truncated conditional-Zipf CDF with an exact tail fallback.
+    """Truncated conditional-Zipf CDF, indexed for O(1) draws, with an
+    exact tail fallback.
 
     Parameters
     ----------
@@ -95,7 +108,10 @@ class JumpCdfTable:
         Table length ``L``; entries are ``F(1) .. F(L)``.
     """
 
-    __slots__ = ("alpha", "lazy_probability", "cap", "cdf", "top")
+    __slots__ = (
+        "alpha", "lazy_probability", "cap", "cdf", "top", "breaks", "guide",
+        "buckets",
+    )
 
     def __init__(
         self,
@@ -107,18 +123,14 @@ class JumpCdfTable:
         self.alpha = float(alpha)
         self.lazy_probability = float(lazy_probability)
         self.cap = cap
-        i = np.arange(1, length + 1, dtype=float)
-        weights = i ** (-self.alpha)
-        cdf = np.cumsum(weights)
+        cdf = np.cumsum(np.arange(1, length + 1, dtype=float) ** (-self.alpha))
         if cap is not None:
             # Capped law: normalize by the table's own total so
             # ``F(cap) == 1.0`` exactly and no draw can escape the table.
             cdf /= cdf[-1]
         else:
             cdf /= float(special.zeta(self.alpha, 1.0))
-        self.cdf = cdf
-        #: Covered conditional mass; draws with ``v > top`` use the tail.
-        self.top = float(cdf[-1])
+        self._index(cdf)
 
     @classmethod
     def from_cdf(
@@ -133,15 +145,24 @@ class JumpCdfTable:
         The pooled Runner uses this to install tables whose
         data lives in a segment published by the parent process
         (:mod:`repro.engine.shm`); ``cdf`` may be a read-only view into
-        that segment -- :meth:`sample` never writes to it.
+        that segment.  The breakpoints and guide are built locally from
+        it, and nothing ever writes to ``cdf``.
         """
         table = cls.__new__(cls)
         table.alpha = float(alpha)
         table.lazy_probability = float(lazy_probability)
         table.cap = cap
-        table.cdf = cdf
-        table.top = float(cdf[-1])
+        table._index(cdf)
         return table
+
+    def _index(self, cdf: np.ndarray) -> None:
+        self.cdf = cdf
+        #: Covered conditional mass; draws with ``v > top`` use the tail.
+        self.top = float(cdf[-1])
+        self.breaks = _breakpoints(cdf, self.lazy_probability)
+        #: Guide buckets ``M``: a power of two, so ``u * M`` is exact.
+        self.buckets = 1 << cdf.shape[0].bit_length()
+        self.guide = _guide(self.breaks, self.buckets)
 
     @property
     def length(self) -> int:
@@ -150,8 +171,8 @@ class JumpCdfTable:
 
     @property
     def nbytes(self) -> int:
-        """Memory footprint of the table data."""
-        return int(self.cdf.nbytes)
+        """Memory footprint of the CDF, the breakpoints and the guide."""
+        return int(self.cdf.nbytes + self.breaks.nbytes + self.guide.nbytes)
 
     def sample(
         self,
@@ -170,27 +191,83 @@ class JumpCdfTable:
         if u is None:
             u = rng.random(size)
         if out is None:
-            out = np.zeros(size, dtype=np.int64)
-        else:
-            out[:] = 0
-        p = self.lazy_probability
-        if p > 0.0:
-            moving = u >= p
-            # u | u >= p is uniform on [p, 1): rescale to [0, 1).  The
-            # lazy indicator and v are exactly independent.
-            v = (u[moving] - p) / (1.0 - p)
-        else:
-            moving = slice(None)
-            v = u
-        # Smallest i with F(i) >= v; exact inverse CDF on the table range.
-        drawn = self.cdf.searchsorted(v, side="left") + 1
-        tail = drawn > self.length
-        if np.any(tail):
-            drawn[tail] = rejection_conditional_zipf_tail(
-                self.alpha, self.length, rng, int(tail.sum())
-            )
-        out[moving] = drawn
+            out = np.empty(size, dtype=np.int64)
+        length = self.length
+        # #{k : B[k] <= u} in one probe: the guide counts the breakpoints
+        # at or below the bucket's left edge, and at most one more lies
+        # inside the bucket.
+        g = self.guide.take((u * self.buckets).astype(np.int64))
+        np.add(g, self.breaks.take(g) <= u, out=out)
+        past = np.flatnonzero(out > length)
+        if past.size:
+            # Crowded (sentinel) buckets and true tail draws.
+            drawn = self.breaks.searchsorted(u[past], side="right")
+            out[past] = drawn
+            tail = past[drawn > length]
+            if tail.size:
+                out[tail] = rejection_conditional_zipf_tail(
+                    self.alpha, length, rng, int(tail.size)
+                )
         return out
+
+
+def _breakpoints(cdf: np.ndarray, p: float) -> np.ndarray:
+    """The draw's breakpoints ``B[0..L+1]`` in uniform space.
+
+    ``B[0] = p``; for ``k = 1..L``, ``B[k]`` is the smallest float64 ``u``
+    whose rescaled ``v = (u - p) / (1 - p)`` exceeds ``cdf[k - 1]``
+    (``inf`` when that ``u`` is not below 1); ``B[L + 1] = inf``.
+    """
+    q = 1.0 - p
+    breaks = np.empty(cdf.shape[0] + 2)
+    breaks[0] = p
+    breaks[-1] = np.inf
+    x = breaks[1:-1]
+    np.multiply(cdf, q, out=x)
+    x += p
+    # p + (1 - p) F lands within a few ulps: step up until v > F, then
+    # down while the float below still has v > F.
+    rows = np.flatnonzero((x - p) / q <= cdf)
+    while rows.size:
+        x[rows] = np.nextafter(x[rows], np.inf)
+        rows = rows[(x[rows] - p) / q <= cdf[rows]]
+    v_below = np.nextafter(x, -np.inf)
+    v_below -= p
+    v_below /= q
+    rows = np.flatnonzero(v_below > cdf)
+    del v_below
+    while rows.size:
+        x[rows] = np.nextafter(x[rows], -np.inf)
+        rows = rows[(np.nextafter(x[rows], -np.inf) - p) / q > cdf[rows]]
+    x[x >= 1.0] = np.inf
+    return breaks
+
+
+def _guide(breaks: np.ndarray, buckets: int) -> np.ndarray:
+    """``guide[b] = #{k : B[k] <= b / M}`` over ``M = buckets`` buckets.
+
+    A bucket with two or more breakpoints strictly inside it holds the
+    sentinel ``L + 1`` (the index of ``B``'s trailing ``inf``), which
+    sends its draws to the exact ``searchsorted``.
+    """
+    sentinel = breaks.shape[0] - 1
+    # B is sorted, so its finite entries are a prefix.
+    scaled = breaks[: np.searchsorted(breaks, np.inf)] * buckets
+    first = np.floor(scaled)
+    inside = first != scaled
+    del scaled
+    crowded = first[1:][inside[1:] & inside[:-1] & (first[1:] == first[:-1])]
+    # Breakpoint k is counted from bucket ceil(B[k] * M) on, so the guide
+    # holds g on the run of buckets [ceil(B[g-1] M), ceil(B[g] M)).
+    edges = np.empty(first.shape[0] + 2, dtype=np.int64)
+    edges[0], edges[-1] = 0, buckets
+    np.add(first, inside, out=edges[1:-1], casting="unsafe")
+    del first, inside
+    runs = np.diff(edges)
+    del edges
+    guide = np.repeat(np.arange(runs.shape[0], dtype=np.int32), runs)
+    guide[crowded.astype(np.int64)] = sentinel
+    return guide
 
 
 def required_length(alpha: float, tail_mass: float = TAIL_MASS) -> int:

@@ -201,8 +201,8 @@ class ZetaJumpDistribution(JumpDistribution):
         """Draw ``size`` exact samples of the jump distance.
 
         The fast path is the cached inverse-CDF table
-        (:mod:`repro.distributions.cdf_table`): one ``searchsorted`` per
-        call, exact tail fallback beyond the table.  Laws too heavy-tailed
+        (:mod:`repro.distributions.cdf_table`): one breakpoint/guide
+        lookup per draw, exact tail fallback beyond the table.  Laws too heavy-tailed
         to tabulate -- and every law inside a
         :func:`~repro.distributions.cdf_table.legacy_sampling` block --
         use the original samplers: Devroye rejection when uncapped,

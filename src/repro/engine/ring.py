@@ -14,7 +14,8 @@ rounds of every live walk are simulated as one staged block --
 
 1. one ``rng.random`` fill for the whole block (``2 * rounds * k``
    uniforms: fused lazy+distance draw and ring index per walk-round);
-2. one batched CDF ``searchsorted`` for all ``rounds * k`` distances;
+2. one batched CDF-table lookup (breakpoint/guide probe) for all
+   ``rounds * k`` distances;
 3. one ring-offset sampling + a ``cumsum`` over the round axis turning
    per-round offsets into per-round endpoints (the state update);
 4. batched target detection over every ``(round, walk)`` pair;

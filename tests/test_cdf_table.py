@@ -28,6 +28,7 @@ from repro.distributions.zeta import ZetaJumpDistribution
 from repro.distributions.zipf_sampler import (
     bisection_conditional_zipf,
     rejection_conditional_zipf,
+    rejection_conditional_zipf_tail,
 )
 from repro.engine.samplers import HeterogeneousZetaSampler
 from repro.runner import HittingTimeTask, Job, Runner
@@ -161,6 +162,76 @@ def test_required_length_exact_and_bounded():
     assert required_length(2.0) <= MAX_TABLE_ENTRIES
     assert required_length(1.2) == MAX_TABLE_ENTRIES + 1
     assert get_table(1.2) is None  # untabulated -> legacy sampling
+
+
+# ------------------------------------------------ breakpoint/guide lookup
+
+
+def _searchsorted_draw(table, u, rng):
+    """The plain inversion the indexed lookup must reproduce bit for bit."""
+    p = table.lazy_probability
+    out = np.zeros(u.shape[0], dtype=np.int64)
+    moving = u >= p if p > 0.0 else slice(None)
+    v = (u[moving] - p) / (1.0 - p) if p > 0.0 else u
+    drawn = table.cdf.searchsorted(v, side="left") + 1
+    tail = drawn > table.length
+    if np.any(tail):
+        drawn[tail] = rejection_conditional_zipf_tail(
+            table.alpha, table.length, rng, int(tail.sum())
+        )
+    out[moving] = drawn
+    return out
+
+
+def _edge_uniforms(table):
+    """Every breakpoint, every bucket edge, their float neighbours, 0 and
+    the largest float below 1."""
+    breaks = table.breaks[np.isfinite(table.breaks)]
+    edges = np.arange(table.buckets) / table.buckets
+    points = np.concatenate([breaks, edges, [0.0, np.nextafter(1.0, 0.0)]])
+    points = np.concatenate(
+        [points, np.nextafter(points, -1.0), np.nextafter(points, 2.0)]
+    )
+    return points[(points >= 0.0) & (points < 1.0)]
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.1234567])
+@pytest.mark.parametrize(
+    "alpha, cap", [(2.05, None), (2.2, None), (3.0, None), (2.5, 8), (2.5, 100)]
+)
+def test_indexed_draw_is_bit_identical_at_every_edge(alpha, cap, p):
+    length = cap if cap is not None else required_length(alpha)
+    table = JumpCdfTable(alpha, p, cap, length)
+    assert table.buckets >= length + 1
+    assert table.buckets & (table.buckets - 1) == 0
+    u = _edge_uniforms(table)
+    got = table.sample(np.random.default_rng(11), u.shape[0], u=u)
+    want = _searchsorted_draw(table, u, np.random.default_rng(11))
+    np.testing.assert_array_equal(got, want)
+
+
+def test_indexed_draw_pins_the_tail_rng_order():
+    """A short table sends many draws to the tail; the fallback consumes
+    the generator in row order, exactly like the plain inversion."""
+    table = JumpCdfTable(2.5, 0.5, None, 50)
+    u = np.random.default_rng(12).random(200_000)
+    got = table.sample(np.random.default_rng(13), u.shape[0], u=u.copy())
+    want = _searchsorted_draw(table, u, np.random.default_rng(13))
+    assert (want > 50).sum() > 100
+    np.testing.assert_array_equal(got, want)
+    # Without caller uniforms, the draw's own u comes first.
+    rng = np.random.default_rng(14)
+    fresh = np.random.default_rng(14)
+    np.testing.assert_array_equal(
+        table.sample(rng, 20_000), _searchsorted_draw(table, fresh.random(20_000), fresh)
+    )
+
+
+def test_nbytes_counts_cdf_breakpoints_and_guide():
+    table = get_table(2.2, 0.5)
+    assert table.guide.dtype == np.int32
+    assert table.nbytes == table.cdf.nbytes + table.breaks.nbytes + table.guide.nbytes
+    assert cache_stats()["bytes"] == table.nbytes
 
 
 # ------------------------------------------------- heterogeneous exponents

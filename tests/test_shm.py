@@ -13,7 +13,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.distributions.cdf_table import get_table
+from repro.distributions.cdf_table import JumpCdfTable, get_table
 from repro.distributions.zeta import ZetaJumpDistribution
 from repro.engine import shm
 from repro.engine.results import HittingTimeSample
@@ -89,6 +89,24 @@ def test_attach_tables_reconstructs_bitwise_equal_cdf():
         np.testing.assert_array_equal(get_table(2.5, 0.0, LAW.cap).cdf, local)
         # Re-attaching the same descriptors is an idempotent no-op.
         assert shm.attach_tables(registry.descriptors()) == 0
+    finally:
+        registry.close()
+
+
+def test_attached_table_draws_match_a_locally_built_one():
+    """Workers build the lookup index from the read-only shared CDF."""
+    local = JumpCdfTable(2.2, 0.5, None, get_table(2.2, 0.5).length)
+    registry = shm.SharedTableRegistry()
+    try:
+        registry.publish(2.2, 0.5)
+        assert shm.attach_tables(registry.descriptors()) == 1
+        attached = get_table(2.2, 0.5)
+        assert not attached.cdf.flags.writeable
+        np.testing.assert_array_equal(attached.guide, local.guide)
+        np.testing.assert_array_equal(
+            attached.sample(np.random.default_rng(SEED), 50_000),
+            local.sample(np.random.default_rng(SEED), 50_000),
+        )
     finally:
         registry.close()
 
