@@ -1,9 +1,8 @@
 """The stable import surface: ``from repro.api import ...``.
 
-Everything re-exported here is supported API with deprecation-shimmed
-evolution; internal module paths (``repro.engine.vectorized`` etc.)
-remain importable but may reorganise between versions.  The facade
-groups the five layers a study touches:
+Everything re-exported here is supported API; internal module paths
+(``repro.engine.vectorized`` etc.) remain importable but may reorganise
+between versions.  The facade groups the five layers a study touches:
 
 * **distributions** -- jump laws (Eq. (3) zeta law and friends);
 * **engines** -- vectorized censored Monte-Carlo samplers.  All engines

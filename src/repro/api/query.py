@@ -35,7 +35,6 @@ queries all join on one string.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Mapping, Optional
 
@@ -447,59 +446,6 @@ def warm_estimates(
 
 # ------------------------------------------------------- the in-process path
 
-#: Legacy engine-kwarg spelling -> unified request field.  Hitting-time
-#: queries used to be phrased in raw engine kwargs; each spelling keeps
-#: working for one release and emits exactly one DeprecationWarning per
-#: call (the `_compat` contract, see repro.engine._compat).
-_LEGACY_QUERY_SPELLINGS = {
-    "detect_during_jump": "detect",
-    "horizon_jumps": "horizon",
-    "n_steps": "horizon",
-}
-
-#: Legacy sample-size spellings: accepted (they cap the simulation
-#: budget) but deprecated -- the v2 contract asks for a CI, not an n.
-_LEGACY_BUDGET_SPELLINGS = ("n_walks", "n")
-
-
-def _apply_legacy_spellings(fields: Dict[str, Any]) -> Optional[int]:
-    """Remap legacy engine-kwarg spellings in place; returns a walk cap.
-
-    Emits one combined :class:`DeprecationWarning` listing every legacy
-    aspect of the call, mirroring :func:`repro.engine._compat.legacy_api`.
-    """
-    complaints = []
-    for old, new in _LEGACY_QUERY_SPELLINGS.items():
-        if old in fields:
-            if new in fields:
-                raise TypeError(
-                    f"estimate() got both legacy {old!r} and its replacement {new!r}"
-                )
-            fields[new] = fields.pop(old)
-            complaints.append(f"keyword {old!r} (use {new!r})")
-    max_walks: Optional[int] = None
-    for old in _LEGACY_BUDGET_SPELLINGS:
-        if old in fields:
-            max_walks = int(fields.pop(old))
-            complaints.append(
-                f"keyword {old!r} (state a CI target via 'max_ci' instead; "
-                "treated as a simulation budget cap)"
-            )
-    if "target" in fields:
-        x, y = fields.pop("target")
-        fields["l"] = abs(int(x)) + abs(int(y))
-        complaints.append("keyword 'target' (use the distance 'l')")
-    if complaints:
-        warnings.warn(
-            "estimate: legacy engine-kwarg spelling -- "
-            + "; ".join(complaints)
-            + ".  The v2 query contract is EstimateRequest"
-            "(alpha, l, k=1, horizon=None, max_ci=None, detect=True).",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return max_walks
-
 
 def estimate(
     request: Optional[EstimateRequest] = None,
@@ -525,21 +471,15 @@ def estimate(
     ``on_update`` (one per Runner ``estimate`` event) when provided.
 
     Accepts either an :class:`EstimateRequest` or its fields as
-    keywords.  Legacy engine-kwarg spellings (``n_walks``,
-    ``detect_during_jump``, ``target``, ...) still work for one release
-    and emit one :class:`DeprecationWarning` per call.
+    keywords.
     """
-    legacy_cap = None
     if request is None:
-        legacy_cap = _apply_legacy_spellings(fields)
         request = EstimateRequest(**fields)
     elif fields:
         raise TypeError(
             "estimate() takes either a request or field keywords, not both: "
             + ", ".join(sorted(fields))
         )
-    if legacy_cap is not None:
-        max_walks = legacy_cap
     if refine is None:
         refine = request.max_ci is not None
 

@@ -29,7 +29,6 @@ from typing import Tuple, Union
 import numpy as np
 
 from repro.distributions.base import JumpDistribution
-from repro.engine._compat import legacy_api
 from repro.engine.results import CENSORED, HittingTimeSample
 from repro.engine.ring import ball_hitting_times_ring, ring_rounds
 from repro.engine.samplers import BatchJumpSampler
@@ -42,10 +41,6 @@ from repro.telemetry.recorder import get_recorder
 IntPoint = Tuple[int, int]
 
 
-@legacy_api(
-    positional=("radius", "horizon", "n", "rng", "start", "detect_during_jump"),
-    renames={"n_walks": "n"},
-)
 def ball_hitting_times(
     jumps: Union[BatchJumpSampler, JumpDistribution],
     center: IntPoint,

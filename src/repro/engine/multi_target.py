@@ -40,7 +40,6 @@ from typing import Sequence, Tuple, Union
 import numpy as np
 
 from repro.distributions.base import JumpDistribution
-from repro.engine._compat import legacy_api
 from repro.engine.results import CENSORED
 from repro.engine.samplers import BatchJumpSampler
 from repro.engine.vectorized import _as_sampler, _record_engine_sample
@@ -102,10 +101,6 @@ class ForagingResult:
         return counts
 
 
-@legacy_api(
-    positional=("horizon", "n", "rng", "start"),
-    renames={"n_walks": "n"},
-)
 def multi_target_search(
     jumps: Union[BatchJumpSampler, JumpDistribution],
     targets: Sequence[IntPoint],

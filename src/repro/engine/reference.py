@@ -13,7 +13,6 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from repro.engine._compat import legacy_api
 from repro.engine.results import CENSORED, HittingTimeSample
 from repro.rng import SeedLike, as_generator, spawn
 from repro.walks.base import JumpProcess
@@ -21,7 +20,6 @@ from repro.walks.base import JumpProcess
 IntPoint = Tuple[int, int]
 
 
-@legacy_api(positional=("horizon", "n", "rng"), renames={"n_walks": "n"})
 def reference_hitting_times(
     make_process: Callable[[np.random.Generator], JumpProcess],
     target: IntPoint,

@@ -34,32 +34,21 @@ from repro.distributions.zipf_sampler import (
     rejection_conditional_zipf,
     rejection_conditional_zipf_tail,
 )
-from repro.telemetry.metrics import DECADE_BOUNDS
 from repro.telemetry.recorder import get_recorder
-
-
-#: Decade edges as an int64 array: ``searchsorted(d, side="right")`` on it
-#: is the same bucketing as ``np.digitize(d, DECADE_BOUNDS)`` without
-#: digitize's per-call monotonicity re-checks -- measurable when called
-#: once per simulation round.
-_DECADE_EDGES = np.asarray(DECADE_BOUNDS, dtype=np.int64)
 
 
 class BatchJumpSampler(abc.ABC):
     """Produces one jump distance per requested walk index.
 
-    Telemetry contract: with a live recorder, each ``sample`` call
-    accumulates its jump-length decade counts into a per-sampler numpy
-    buffer (:meth:`_account_jumps`), and the *engines* push the buffer
-    into the metrics registry once per engine call
-    (:meth:`flush_jump_accounting`).  Batching per engine call instead of
-    per round keeps the enabled-path overhead to one registry touch per
-    call -- a round-level touch dominated the telemetry overhead in
-    ``BENCH_runner.json`` before.
+    Telemetry contract: with a live recorder, each ``sample`` call adds
+    its batch size to a per-sampler count, and the *engines* push the
+    count into the ``engine.jumps_sampled`` counter once per engine call
+    (:meth:`flush_jump_accounting`), so the enabled path touches the
+    metrics registry once per call, not once per round.
     """
 
-    #: Pending decade counts (lazily created; None when nothing pending).
-    _pending_decades: Optional[np.ndarray] = None
+    #: Jumps drawn since the last flush (counted only with telemetry on).
+    _pending_jumps = 0
 
     @abc.abstractmethod
     def sample(
@@ -80,41 +69,17 @@ class BatchJumpSampler(abc.ABC):
         callers must use the *returned* array.
         """
 
-    def _account_jumps(self, distances: np.ndarray) -> None:
-        """Accumulate one batch of jump distances by length decade.
-
-        Called only when telemetry is enabled (guard at the call sites
-        keeps the disabled hot path at a single attribute check per
-        round).  Bucket 0 counts lazy phases (``d < 1``); bucket k counts
-        ``10^(k-1) <= d < 10^k`` -- the heavy tail makes these decades
-        span orders of magnitude of walltime, which is exactly what we
-        want to see.
-        """
-        counts = np.bincount(
-            _DECADE_EDGES.searchsorted(distances, side="right"),
-            minlength=_DECADE_EDGES.shape[0] + 1,
-        )
-        if self._pending_decades is None:
-            self._pending_decades = counts.astype(np.int64)
-        else:
-            self._pending_decades += counts
-
     def flush_jump_accounting(self) -> None:
-        """Push accumulated decade counts into the live metrics registry.
+        """Push the pending jump count into the live metrics registry.
 
         Engines call this once per engine invocation (inside their
-        telemetry epilogue); a no-op when nothing was accumulated, so
+        telemetry epilogue); a no-op when nothing was counted, so
         unconditional calls are safe with telemetry disabled.
         """
-        pending = self._pending_decades
-        if pending is None:
-            return
-        self._pending_decades = None
-        metrics = get_recorder().metrics
-        metrics.histogram(
-            "engine.jump_length_decades", bounds=DECADE_BOUNDS
-        ).add_bucket_counts(pending.tolist())
-        metrics.counter("engine.jumps_sampled").add(int(pending.sum()))
+        pending = self._pending_jumps
+        if pending:
+            self._pending_jumps = 0
+            get_recorder().metrics.counter("engine.jumps_sampled").add(pending)
 
 
 class HomogeneousSampler(BatchJumpSampler):
@@ -139,7 +104,7 @@ class HomogeneousSampler(BatchJumpSampler):
         else:
             out = self.distribution.sample(rng, n)
         if get_recorder().enabled:
-            self._account_jumps(out)
+            self._pending_jumps += n
         return out
 
 
@@ -186,6 +151,7 @@ class HeterogeneousZetaSampler(BatchJumpSampler):
     def __getstate__(self):
         state = self.__dict__.copy()
         state["_bulk_cdf"] = None
+        state.pop("_pending_jumps", None)  # per-process accounting
         return state
 
     def _bulk(self) -> np.ndarray:
@@ -204,6 +170,8 @@ class HeterogeneousZetaSampler(BatchJumpSampler):
         out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         n = int(walk_indices.shape[0])
+        if get_recorder().enabled:
+            self._pending_jumps += n
         if out is None:
             out = np.zeros(n, dtype=np.int64)
         else:
@@ -228,18 +196,12 @@ class HeterogeneousZetaSampler(BatchJumpSampler):
                     self.alphas[rows[tail]], _BULK_CDF_COLUMNS, rng, n_tail
                 )
             out[moving] = drawn
-            if get_recorder().enabled:
-                self._account_jumps(out)
             return out
         lazy = rng.random(n) < self.lazy_probability
         moving = ~lazy
         n_moving = int(moving.sum())
         if n_moving == 0:
-            if get_recorder().enabled:
-                self._account_jumps(out)
             return out
         a = self.alphas[walk_indices[moving]]
         out[moving] = rejection_conditional_zipf(a, rng, n_moving)
-        if get_recorder().enabled:
-            self._account_jumps(out)
         return out

@@ -22,7 +22,6 @@ from typing import Tuple, Union
 import numpy as np
 
 from repro.distributions.base import JumpDistribution
-from repro.engine._compat import legacy_api
 from repro.engine.samplers import BatchJumpSampler
 from repro.engine.vectorized import _as_sampler
 from repro.lattice.direct_path import sample_direct_path_nodes
@@ -32,10 +31,6 @@ from repro.rng import SeedLike, as_generator
 IntPoint = Tuple[int, int]
 
 
-@legacy_api(
-    positional=("horizon", "n", "rng", "start"),
-    renames={"n_steps": "horizon", "n_walks": "n"},
-)
 def walk_trajectories(
     jumps: Union[BatchJumpSampler, JumpDistribution],
     *,

@@ -31,7 +31,6 @@ from typing import Tuple, Union
 import numpy as np
 
 from repro.distributions.base import JumpDistribution
-from repro.engine._compat import legacy_api
 from repro.engine.results import CENSORED, HittingTimeSample
 from repro.engine.ring import (
     flight_hitting_times_ring,
@@ -63,10 +62,6 @@ def _as_sampler(source: Union[BatchJumpSampler, JumpDistribution]) -> BatchJumpS
     return HomogeneousSampler(source)
 
 
-@legacy_api(
-    positional=("horizon", "n", "rng", "start", "detect_during_jump"),
-    renames={"n_walks": "n"},
-)
 def walk_hitting_times(
     jumps: Union[BatchJumpSampler, JumpDistribution],
     target: IntPoint,
@@ -235,10 +230,6 @@ def walk_hitting_times(
     return HittingTimeSample(times=times, horizon=horizon)
 
 
-@legacy_api(
-    positional=("horizon", "n", "rng", "start"),
-    renames={"horizon_jumps": "horizon", "n_flights": "n"},
-)
 def flight_hitting_times(
     jumps: Union[BatchJumpSampler, JumpDistribution],
     target: IntPoint,

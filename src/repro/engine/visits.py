@@ -23,7 +23,6 @@ from typing import Sequence, Tuple, Union
 import numpy as np
 
 from repro.distributions.base import JumpDistribution
-from repro.engine._compat import legacy_api
 from repro.engine.samplers import BatchJumpSampler
 from repro.engine.vectorized import _as_sampler
 from repro.lattice.direct_path import sample_direct_path_nodes
@@ -32,11 +31,7 @@ from repro.rng import SeedLike, as_generator
 
 IntPoint = Tuple[int, int]
 
-#: Legacy keyword spellings shared by the flight-statistics entry points.
-_FLIGHT_RENAMES = {"n_jumps": "horizon", "n_flights": "n"}
 
-
-@legacy_api(positional=("horizon", "n", "rng", "start"), renames=_FLIGHT_RENAMES)
 def flight_visit_counts(
     jumps: Union[BatchJumpSampler, JumpDistribution],
     nodes: Sequence[IntPoint],
@@ -75,10 +70,6 @@ def flight_visit_counts(
     return counts / float(n_flights)
 
 
-@legacy_api(
-    positional=("horizon", "n", "radius", "rng", "at_time_only", "return_counts"),
-    renames=_FLIGHT_RENAMES,
-)
 def flight_occupation_grid(
     jumps: Union[BatchJumpSampler, JumpDistribution],
     *,
@@ -127,7 +118,6 @@ def flight_occupation_grid(
     return grid / float(n_flights)
 
 
-@legacy_api(positional=("horizon", "n", "rng"), renames=_FLIGHT_RENAMES)
 def flight_positions_after(
     jumps: Union[BatchJumpSampler, JumpDistribution],
     *,
@@ -148,10 +138,6 @@ def flight_positions_after(
     return pos
 
 
-@legacy_api(
-    positional=("box_radius", "far_radius", "horizon", "n", "rng"),
-    renames=_FLIGHT_RENAMES,
-)
 def flight_region_visits(
     jumps: Union[BatchJumpSampler, JumpDistribution],
     *,
@@ -197,7 +183,6 @@ def flight_region_visits(
     return counts / float(n_flights)
 
 
-@legacy_api(positional=("n", "rng"), renames={"n_walks": "n"})
 def walk_displacement_snapshots(
     jumps: Union[BatchJumpSampler, JumpDistribution],
     snapshot_steps: Sequence[int],

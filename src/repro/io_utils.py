@@ -18,6 +18,10 @@ this.  All loaders convert the zoo of low-level decoding failures
 (truncated zip, garbage JSON, missing keys) into a single
 :class:`CorruptResultError` so callers can quarantine bad files without
 enumerating stdlib exception types.
+
+The append-only JSONL stores (event log, run registry, result cache)
+share one primitive instead, :class:`AppendLog`: single-write appends
+that heal a torn tail, and readers that tolerate the kill signature.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import os
 import tempfile
 import zipfile
 from pathlib import Path
-from typing import Any, Dict, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -88,37 +92,152 @@ def atomic_write_json(obj: Any, path) -> Path:
     return atomic_write_bytes(text.encode("utf-8"), path)
 
 
-def open_append(path) -> int:
-    """Open ``path`` for appending (created if absent); returns the fd.
+def json_line(record: Any) -> str:
+    """One compact, key-sorted JSON record plus its ``\\n`` terminator.
 
-    The descriptor carries ``O_APPEND``, so every ``os.write`` lands at
-    the then-current end of file regardless of other appenders -- the
-    contract the telemetry event log (:mod:`repro.telemetry.events`)
-    builds its one-line-per-write durability on.
+    The on-disk record encoding of every :class:`AppendLog` store.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+    return json.dumps(record, separators=(",", ":"), sort_keys=True, default=str) + "\n"
 
 
-def append_text(fd: int, text: str) -> None:
-    """Append ``text`` (one or more ``\\n``-terminated lines) to an
-    :func:`open_append` fd.
+def parse_json_object(line: str) -> Dict[str, Any]:
+    """Parse one JSONL line that must hold an object (the default parser)."""
+    record = json.loads(line)
+    if not isinstance(record, dict):
+        raise ValueError(f"record is not an object: {record!r}")
+    return record
 
-    The whole block goes down in a single ``os.write`` call so concurrent
-    appenders never interleave mid-record; a crash can only truncate the
-    final line of the block.  This is what lets the telemetry event log
-    buffer many events and flush them in one atomic append.
+
+class AppendLog:
+    """An append-only file of ``\\n``-terminated records.
+
+    The one durability contract behind the telemetry event log, the run
+    registry and the result cache:
+
+    * **Append.**  :meth:`append` writes one or more whole records in a
+      single ``os.write`` on an ``O_APPEND`` descriptor, so concurrent
+      appenders never interleave mid-record and a kill can only tear the
+      final line.  If the file's tail is torn (no trailing newline), the
+      write starts with ``"\\n\\n"``: the newline ends the fragment, the
+      blank line after it marks the fragment as a healed tail, and both
+      land in the same write as the records, so the heal cannot itself be
+      torn apart.  A held descriptor (:meth:`open`) checks the tail once,
+      at open.
+    * **Read.**  :meth:`read` parses every non-blank line with ``parse``.
+      A damaged final line, or a damaged line that a heal closed, is
+      always skipped: both are what a kill leaves behind.  Other damage
+      (``parse`` raising ``ValueError``/``TypeError``) is skipped too,
+      unless ``strict``, which raises :class:`CorruptResultError` naming
+      ``path:line``.
+    * **Follow.**  :meth:`poll` returns the records appended since the
+      previous poll.  The fragment after the last newline waits for the
+      next poll; a file that shrank is read again from the start.
     """
+
+    def __init__(
+        self,
+        path,
+        parse: Callable[[str], Any] = parse_json_object,
+        kind: str = "record",
+    ) -> None:
+        self.path = Path(path)
+        self.parse = parse
+        self.kind = kind
+        self._fd: Optional[int] = None
+        self._heal = False
+        self._offset = 0
+        self._partial = b""
+
+    # ------------------------------------------------------------- append
+
+    def _open_fd(self) -> Tuple[int, bool]:
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
+        size = os.fstat(fd).st_size
+        return fd, size > 0 and os.pread(fd, 1, size - 1) != b"\n"
+
+    def open(self) -> None:
+        """Hold a descriptor for repeated appends (checks the tail now)."""
+        if self._fd is None:
+            self._fd, self._heal = self._open_fd()
+
+    @property
+    def closed(self) -> bool:
+        return self._fd is None
+
+    def close(self) -> None:
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
+
+    def append(self, text: str) -> None:
+        """Append ``text`` (whole ``\\n``-terminated records) in one write."""
+        held = self._fd is not None
+        fd, heal = (self._fd, self._heal) if held else self._open_fd()
+        self._heal = False
+        try:
+            _write_all(fd, "\n\n" + text if heal else text)
+        finally:
+            if not held:
+                os.close(fd)
+
+    # --------------------------------------------------------------- read
+
+    def _parsed(self, line: str) -> Tuple[bool, Any]:
+        try:
+            return True, self.parse(line)
+        except (ValueError, TypeError) as exc:
+            return False, exc
+
+    def read(self, strict: bool = False) -> Iterator[Any]:
+        """Yield every readable record in file order (see the class doc)."""
+        lines = self.path.read_text(encoding="utf-8", errors="replace").split("\n")
+        if lines[-1] == "":  # the terminator of the last line
+            lines.pop()
+        last = len(lines) - 1
+        for number, line in enumerate(lines):
+            if not line.strip():
+                continue
+            ok, value = self._parsed(line)
+            if ok:
+                yield value
+            elif strict and number != last and lines[number + 1] != "":
+                # Neither the final line nor a fragment a heal closed
+                # (the heal's blank line follows it): interior damage.
+                raise CorruptResultError(
+                    f"corrupt {self.kind} at {self.path}:{number + 1}: {value}"
+                ) from value
+
+    def poll(self) -> List[Any]:
+        """The readable records appended since the previous poll."""
+        try:
+            size = self.path.stat().st_size
+        except FileNotFoundError:
+            return []
+        if size < self._offset:
+            self._offset, self._partial = 0, b""
+        if size == self._offset:
+            return []
+        with open(self.path, "rb") as handle:
+            handle.seek(self._offset)
+            data = handle.read()
+            self._offset = handle.tell()
+        *lines, self._partial = (self._partial + data).split(b"\n")
+        records = []
+        for line in lines:
+            text = line.decode("utf-8", errors="replace")
+            if text.strip():
+                ok, value = self._parsed(text)
+                if ok:
+                    records.append(value)
+        return records
+
+
+def _write_all(fd: int, text: str) -> None:
     data = text.encode("utf-8")
     written = os.write(fd, data)
     while written < len(data):  # pragma: no cover - short writes are rare
         written += os.write(fd, data[written:])
-
-
-def append_line(fd: int, line: str) -> None:
-    """Append ``line`` (newline added) to an :func:`open_append` fd."""
-    append_text(fd, line + "\n")
 
 
 def sha256_hex(data: bytes) -> str:

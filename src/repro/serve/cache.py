@@ -7,16 +7,12 @@ estimate the service produces lands here, keyed by the canonical
 :func:`repro.api.query.canonical_key`, so a repeated query -- even
 after a daemon restart -- is answered without touching an engine.
 
-Durability contract (shared with the event log and run registry):
-
-* one entry per line, appended in a single ``O_APPEND`` write, so
-  concurrent writers never interleave mid-record;
-* a kill can only tear the *final* line; readers skip a torn tail and
-  :meth:`ResultCache.put` heals one by starting the next entry on a
-  fresh line (the leading newline goes down in the same write);
-* the in-memory index is newest-wins per key with a bounded LRU, so a
-  long-lived daemon cannot grow without bound even while the on-disk
-  log stays append-only (:meth:`gc` compacts it atomically).
+Durability is the contract shared with the event log and run registry,
+:class:`repro.io_utils.AppendLog`: one write per entry, a torn tail
+healed by the next :meth:`ResultCache.put` and skipped on load.  The
+in-memory index is newest-wins per key with a bounded LRU, so a
+long-lived daemon cannot grow without bound even while the on-disk log
+stays append-only (:meth:`ResultCache.gc` compacts it atomically).
 
 Warm start: :meth:`warm_start` imports a run registry's headline
 estimates as in-memory entries (not re-appended to disk -- the
@@ -27,7 +23,6 @@ from last week's sweeps immediately.
 from __future__ import annotations
 
 import json
-import os
 from collections import OrderedDict
 from pathlib import Path
 from typing import Iterator, Optional
@@ -37,7 +32,7 @@ from repro.api.query import (
     EstimateResponse,
     response_from_registry_estimate,
 )
-from repro.io_utils import append_text, atomic_write_bytes, open_append
+from repro.io_utils import AppendLog, atomic_write_bytes, json_line
 
 #: Default cache location (CLI: ``--cache-dir``).
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -47,6 +42,10 @@ CACHE_FILENAME = "estimates.jsonl"
 
 #: Default in-memory index bound (newest-used entries win).
 DEFAULT_MAX_ENTRIES = 4096
+
+
+def _parse_entry(line: str) -> EstimateResponse:
+    return EstimateResponse.from_dict(json.loads(line))
 
 
 class ResultCache:
@@ -59,6 +58,7 @@ class ResultCache:
         self.max_entries = int(max_entries)
         self._index: "OrderedDict[str, EstimateResponse]" = OrderedDict()
         self._loaded = False
+        self._log = AppendLog(self.path, parse=_parse_entry)
 
     @property
     def path(self) -> Path:
@@ -76,18 +76,9 @@ class ResultCache:
         self._loaded = True
         if not self.path.exists():
             return
-        lines = self.path.read_text(encoding="utf-8", errors="replace").split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        for line in lines:
-            if not line.strip():
-                continue
-            try:
-                entry = EstimateResponse.from_dict(json.loads(line))
-            except (json.JSONDecodeError, ValueError):
-                # Torn tail (kill-mid-write) or interior damage: a cache
-                # miss re-derives the answer, so skipping is always safe.
-                continue
+        # Damaged lines are skipped, never fatal: a cache miss re-derives
+        # the answer.
+        for entry in self._log.read():
             self._remember(entry)
 
     def _remember(self, entry: EstimateResponse) -> None:
@@ -134,28 +125,8 @@ class ResultCache:
         self._remember(response)
         if not persist:
             return response
-        line = json.dumps(
-            response.to_dict(), separators=(",", ":"), sort_keys=True, default=str
-        )
-        prefix = "\n" if self._tail_is_torn() else ""
-        self.directory.mkdir(parents=True, exist_ok=True)
-        fd = open_append(self.path)
-        try:
-            append_text(fd, prefix + line + "\n")
-        finally:
-            os.close(fd)
+        self._log.append(json_line(response.to_dict()))
         return response
-
-    def _tail_is_torn(self) -> bool:
-        try:
-            with open(self.path, "rb") as handle:
-                handle.seek(0, os.SEEK_END)
-                if handle.tell() == 0:
-                    return False
-                handle.seek(-1, os.SEEK_END)
-                return handle.read(1) != b"\n"
-        except OSError:
-            return False
 
     # ---------------------------------------------------------- warm start
 
@@ -204,9 +175,6 @@ class ResultCache:
         the old file (tmp + rename, like the registry's gc).
         """
         self._ensure_loaded()
-        body = "".join(
-            json.dumps(e.to_dict(), separators=(",", ":"), sort_keys=True) + "\n"
-            for e in self._index.values()
-        )
+        body = "".join(json_line(e.to_dict()) for e in self._index.values())
         atomic_write_bytes(body.encode("utf-8"), self.path)
         return len(self._index)

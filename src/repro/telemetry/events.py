@@ -5,31 +5,23 @@ format is deliberately boring: any ``jq``/pandas/grep pipeline can
 consume it, and ``repro-experiment report`` renders it back into the
 repository's text tables.
 
-Durability model: events are serialized to ``\\n``-terminated lines,
-buffered in memory, and flushed as *one* ``write`` on an ``O_APPEND``
-descriptor (:func:`repro.io_utils.open_append` / :func:`append_text`).
-The recorder flushes at every run/chunk boundary (and the writer
-auto-flushes past a size threshold), so buffering amortizes the syscall
-per chunk instead of paying it per event without changing the failure
-mode: POSIX O_APPEND writes are non-interleaving on regular files under
-every mainstream filesystem, so a crash can only truncate the *final
-line of the last flushed block* -- never interleave or corrupt interior
-records.  What buffering does change is the loss window: a hard kill
-(SIGKILL, power loss) drops the not-yet-flushed tail of the current
+Durability: the log is a :class:`repro.io_utils.AppendLog` (one
+``O_APPEND`` write per flushed block, torn-tail heal, kill-tolerant
+reads; the contract is documented there).  The writer buffers events in
+memory and the recorder flushes at every run/chunk boundary (the writer
+also auto-flushes past a size threshold), so the syscall is paid per
+chunk, not per event.  Buffering changes only the loss window: a hard
+kill (SIGKILL, power loss) drops the not-yet-flushed tail of the current
 chunk; a normal close -- including the ``finally`` paths of the CLI and
-the test harnesses -- flushes everything.  :func:`read_events` tolerates
-a garbled *final* line by default (that is the expected kill signature)
-while ``strict=True`` turns interior damage into
-:class:`repro.io_utils.CorruptResultError`.
+the test harnesses -- flushes everything.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional
 
-from repro.io_utils import CorruptResultError, append_text, open_append
+from repro.io_utils import AppendLog, json_line
 
 #: Stamped into the header event of every log this writer opens.
 #: Version 2 (PR 3) added the ``estimate``/``incident``/``converged``
@@ -41,12 +33,6 @@ from repro.io_utils import CorruptResultError, append_text, open_append
 #: unambiguously.  Readers that ignore unknown types and fields can
 #: consume any of these versions.
 SCHEMA_VERSION = 4
-
-
-def _encode(record: Dict) -> str:
-    # Compact separators: event logs are written per chunk, not per step,
-    # but long sweeps still produce thousands of lines.
-    return json.dumps(record, separators=(",", ":"), sort_keys=True, default=str)
 
 
 class EventLogWriter:
@@ -73,7 +59,8 @@ class EventLogWriter:
         self._buffer: List[str] = []
         self._buffered_bytes = 0
         self._auto_flush_bytes = int(auto_flush_bytes)
-        self._fd: Optional[int] = open_append(self.path)
+        self._log = AppendLog(self.path)
+        self._log.open()  # checks for a torn tail once; the header heals it
         header = {"type": "log_open", "schema": SCHEMA_VERSION}
         if run_id is not None:
             # Join key into the run registry: the record with this run_id
@@ -88,9 +75,9 @@ class EventLogWriter:
         self.flush()
 
     def write(self, record: Dict) -> None:
-        if self._fd is None:
+        if self._log.closed:
             raise ValueError(f"event log {self.path} is closed")
-        line = _encode(record) + "\n"
+        line = json_line(record)
         self._buffer.append(line)
         self._buffered_bytes += len(line)
         if self._buffered_bytes >= self._auto_flush_bytes:
@@ -98,21 +85,18 @@ class EventLogWriter:
 
     def flush(self) -> None:
         """Write every buffered event in one O_APPEND ``write``."""
-        if self._fd is None or not self._buffer:
+        if self._log.closed or not self._buffer:
             return
         block = "".join(self._buffer)
         self._buffer = []
         self._buffered_bytes = 0
-        append_text(self._fd, block)
+        self._log.append(block)
 
     def close(self) -> None:
-        if self._fd is not None:
-            import os
-
+        if not self._log.closed:
             self.write({"type": "log_close"})
             self.flush()
-            os.close(self._fd)
-            self._fd = None
+            self._log.close()
 
     def __enter__(self) -> "EventLogWriter":
         return self
@@ -124,34 +108,12 @@ class EventLogWriter:
 def iter_events(path, strict: bool = False) -> Iterator[Dict]:
     """Yield events from a JSONL log in file order.
 
-    Blank lines are skipped.  A line that fails to parse (or parses to a
-    non-object) is skipped unless ``strict`` is true, in which case it
-    raises :class:`CorruptResultError` -- except that a damaged *final*
-    line is always tolerated, because that is precisely what a
-    kill-while-appending leaves behind and resumability is the point.
+    Damage is handled by the :class:`~repro.io_utils.AppendLog` read
+    contract: a torn tail is always skipped, other damage is skipped
+    unless ``strict``, which raises
+    :class:`~repro.io_utils.CorruptResultError`.
     """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(path)
-    lines = path.read_text(encoding="utf-8", errors="replace").split("\n")
-    # Trailing "" after a final newline is not a line.
-    if lines and lines[-1] == "":
-        lines.pop()
-    last = len(lines) - 1
-    for number, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-            if not isinstance(record, dict):
-                raise ValueError(f"event is not an object: {record!r}")
-        except (json.JSONDecodeError, ValueError) as exc:
-            if strict and number != last:
-                raise CorruptResultError(
-                    f"corrupt event at {path}:{number + 1}: {exc}"
-                ) from exc
-            continue
-        yield record
+    return AppendLog(path, kind="event").read(strict=strict)
 
 
 def read_events(path, strict: bool = False) -> List[Dict]:

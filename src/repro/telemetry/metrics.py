@@ -14,7 +14,7 @@ counted.
 
 Naming convention (documented in docs/observability.md): dotted
 lower-case paths, ``<layer>.<quantity>`` -- e.g. ``runner.retries``,
-``engine.steps``, ``engine.jump_length_decades``.
+``engine.steps``, ``engine.jumps_sampled``.
 """
 
 from __future__ import annotations
@@ -25,10 +25,8 @@ from typing import Dict, List, Optional, Sequence, Union
 
 Number = Union[int, float]
 
-#: Upper bounds of the jump-length decade histogram: bucket 0 is ``d < 1``
-#: (lazy phases), bucket k is ``10^(k-1) <= d < 10^k``, the last bucket is
-#: the overflow.  Covers every distance representable on the paper's
-#: ``n x n`` grids up to n = 10^9.
+#: Decade bucket bounds for length-like histograms: bucket 0 is ``d < 1``,
+#: bucket k is ``10^(k-1) <= d < 10^k``, the last bucket is the overflow.
 DECADE_BOUNDS = tuple(10**k for k in range(10))
 
 #: Default buckets for duration histograms (seconds), log-spaced from

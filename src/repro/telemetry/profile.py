@@ -10,9 +10,9 @@ Two halves live here on purpose:
   disabled path costs one attribute load and an ``is None`` test per
   stage per *round* (each round advances thousands of walks).  Timings
   accumulate as ``perf_counter_ns`` deltas and are drained once per
-  chunk by the Runner (the same once-per-engine-call discipline as the
-  jump-decade histogram), which emits ONE ``phase_profile`` event and
-  bumps the ``engine.phase_seconds.*`` counters.  Engine calls outside
+  chunk by the Runner (batched like the ``engine.jumps_sampled`` count),
+  which emits ONE ``phase_profile`` event and bumps the
+  ``engine.phase_seconds.*`` counters.  Engine calls outside
   any runner are drained by ``TelemetryRecorder.close()`` into a
   residual ``phase_profile`` event.
 * the analysis functions below (:func:`summarize_profile`,

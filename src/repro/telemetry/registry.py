@@ -11,13 +11,10 @@ module is the cross-run layer:
   exit code, headline estimates with Wilson CIs per grid point, a
   phase-profile summary, pool/IPC totals, and artifact paths;
 * :class:`RunRegistry` -- an append-only JSONL store
-  (``<registry-dir>/runs.jsonl``, default ``.repro-registry/``) with the
-  event log's durability contract: every record lands in ONE ``O_APPEND``
-  write (:func:`repro.io_utils.append_line`), concurrent registrars never
-  interleave, and readers tolerate a torn final line.  Registration even
-  self-heals after a kill-mid-register: if the file's tail is torn (no
-  trailing newline), the next record starts on a fresh line instead of
-  gluing itself onto the fragment;
+  (``<registry-dir>/runs.jsonl``, default ``.repro-registry/``) on the
+  event log's durability contract, :class:`repro.io_utils.AppendLog`:
+  one write per record, a torn tail healed by the next registration and
+  skipped by readers;
 * :func:`compare_records` -- CI-aware statistical drift detection between
   two runs: a grid point whose Wilson intervals are *disjoint* is flagged
   as DRIFT (``runs compare --strict`` exits non-zero), and a point whose
@@ -54,10 +51,10 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.io_utils import (
+    AppendLog,
     CorruptResultError,
-    append_text,
     atomic_write_bytes,
-    open_append,
+    json_line,
     sha256_hex,
 )
 
@@ -406,19 +403,22 @@ def summary_from_recorder(recorder) -> Dict[str, Any]:
 # ------------------------------------------------------------------ the store
 
 
+def _parse_record(line: str) -> RunRecord:
+    return RunRecord.from_dict(json.loads(line))
+
+
 class RunRegistry:
     """Append-only JSONL store of :class:`RunRecord` objects.
 
-    Durability contract (shared with the event log): one record per
-    line, each appended in a single ``O_APPEND`` write, so concurrent
-    registrars -- pooled sweeps, parallel CI jobs -- never interleave
-    mid-record and a kill can only tear the final line.  Readers skip a
-    torn tail; :meth:`register` heals one by starting the next record on
-    a fresh line.
+    Durability is the :class:`repro.io_utils.AppendLog` contract: one
+    write per record, so concurrent registrars -- pooled sweeps, parallel
+    CI jobs -- never interleave mid-record, and a kill-mid-register's torn
+    tail is healed by the next :meth:`register` and skipped by readers.
     """
 
     def __init__(self, directory=DEFAULT_REGISTRY_DIR) -> None:
         self.directory = Path(directory)
+        self._log = AppendLog(self.path, parse=_parse_record, kind="run record")
 
     @property
     def path(self) -> Path:
@@ -428,63 +428,20 @@ class RunRegistry:
 
     def register(self, record: RunRecord) -> RunRecord:
         """Append one record atomically; returns it for chaining."""
-        line = json.dumps(
-            record.to_dict(), separators=(",", ":"), sort_keys=True, default=str
-        )
-        # Self-heal a torn tail: if the last registrar was killed
-        # mid-write the file ends without a newline, and a plain append
-        # would glue this record onto the fragment, losing both.  The
-        # leading newline goes down in the SAME single write as the
-        # record, so the heal cannot itself be torn apart.
-        prefix = "\n" if self._tail_is_torn() else ""
-        fd = open_append(self.path)
-        try:
-            append_text(fd, prefix + line + "\n")
-        finally:
-            os.close(fd)
+        self._log.append(json_line(record.to_dict()))
         return record
-
-    def _tail_is_torn(self) -> bool:
-        try:
-            with open(self.path, "rb") as handle:
-                handle.seek(0, os.SEEK_END)
-                size = handle.tell()
-                if size == 0:
-                    return False
-                handle.seek(-1, os.SEEK_END)
-                return handle.read(1) != b"\n"
-        except OSError:
-            return False
 
     # ------------------------------------------------------------- reading
 
     def records(self, strict: bool = False) -> List[RunRecord]:
         """Every readable record, oldest first (file order).
 
-        A damaged *final* line is always tolerated (the expected
-        kill-mid-register signature); interior damage is skipped by
+        A torn tail is always tolerated; interior damage is skipped by
         default and raises :class:`CorruptResultError` under ``strict``.
         """
         if not self.path.exists():
             return []
-        lines = self.path.read_text(encoding="utf-8", errors="replace").split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        last = len(lines) - 1
-        records: List[RunRecord] = []
-        for number, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                data = json.loads(line)
-                records.append(RunRecord.from_dict(data))
-            except (json.JSONDecodeError, CorruptResultError, ValueError) as exc:
-                if strict and number != last:
-                    raise CorruptResultError(
-                        f"corrupt run record at {self.path}:{number + 1}: {exc}"
-                    ) from exc
-                continue
-        return records
+        return list(self._log.read(strict=strict))
 
     def get(self, run_id: str) -> Optional[RunRecord]:
         """The record with exactly this id (latest wins on duplicates)."""
@@ -609,13 +566,7 @@ class RunRegistry:
                 drop = False
             (dropped if drop else kept).append(record)
         if not dry_run and dropped:
-            body = "".join(
-                json.dumps(
-                    r.to_dict(), separators=(",", ":"), sort_keys=True, default=str
-                )
-                + "\n"
-                for r in kept
-            )
+            body = "".join(json_line(r.to_dict()) for r in kept)
             atomic_write_bytes(body.encode("utf-8"), self.path)
         return kept, dropped
 

@@ -6,16 +6,12 @@ to and re-renders, every few seconds, the running estimates (point ± CI
 and relative half-width per metric, with a sparkline of the half-width
 shrinking), throughput, and recent incidents.
 
-Following a file that is being written concurrently has two sharp edges,
-both handled by :class:`LogFollower`:
-
-* **torn tails** -- the writer flushes whole lines, but a poll can still
-  race mid-flush (or the writer may have been killed mid-line), so any
-  trailing bytes without a newline are carried over to the next poll
-  instead of being parsed;
-* **interior damage** -- a line that never becomes valid JSON is simply
-  skipped: a live console is the wrong place to die on a corrupt record
-  (``report --strict`` is the place to reject such a log).
+Following a file that is being written concurrently is the follow half
+of the :class:`~repro.io_utils.AppendLog` contract (:class:`LogFollower`):
+bytes after the last newline wait for the next poll, and a line that
+never becomes a valid event is skipped -- a live console is the wrong
+place to die on a corrupt record (``report --strict`` is the place to
+reject such a log).
 
 The follower exits on its own when the log says the writers are done: the
 buffered :class:`~repro.telemetry.events.EventLogWriter` appends a
@@ -25,11 +21,11 @@ means no process is still appending.
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from repro.io_utils import AppendLog
 from repro.reporting.table import Table
 from repro.reporting.text_plots import ascii_bars, sparkline
 
@@ -47,51 +43,15 @@ _MAX_INCIDENTS = 8
 _PARALLELISM_WINDOW = 30.0
 
 
-class LogFollower:
-    """Incremental JSONL reader, tolerant of a file still being written.
+class LogFollower(AppendLog):
+    """Incremental event reader for a log still being written.
 
-    Each :meth:`poll` returns the events appended since the previous
-    poll.  A partial final line (no trailing newline yet) is buffered and
-    re-tried next poll; a shrunk or replaced file resets the follower to
-    the start (the log was truncated and restarted).
+    Each :meth:`~repro.io_utils.AppendLog.poll` returns the events
+    appended since the previous poll (see the follow contract there).
     """
 
     def __init__(self, path) -> None:
-        self.path = Path(path)
-        self._offset = 0
-        self._partial = ""
-
-    def poll(self) -> List[Dict]:
-        try:
-            size = self.path.stat().st_size
-        except FileNotFoundError:
-            return []
-        if size < self._offset:
-            self._offset = 0
-            self._partial = ""
-        if size == self._offset:
-            return []
-        with open(self.path, "rb") as handle:
-            handle.seek(self._offset)
-            data = handle.read()
-            self._offset = handle.tell()
-        text = self._partial + data.decode("utf-8", errors="replace")
-        lines = text.split("\n")
-        # The fragment after the last newline is an incomplete (possibly
-        # torn) line: keep it for the next poll, never parse it now.
-        self._partial = lines.pop()
-        events = []
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(record, dict):
-                events.append(record)
-        return events
+        super().__init__(path, kind="event")
 
 
 def _run_key(event: Dict) -> str:

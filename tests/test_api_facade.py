@@ -1,15 +1,12 @@
-"""The ``repro.api`` facade and the legacy engine-spelling shims.
+"""The ``repro.api`` facade and its one calling convention.
 
 ``repro.api`` is the documented stable import surface (README): every
 name in ``__all__`` must import and resolve to the same object as its
 home module.  The engine entry points behind it follow the unified
-``horizon``/``n`` keyword-only convention; each legacy spelling keeps
-working for one release and emits exactly one DeprecationWarning.
+``horizon``/``n`` keyword-only convention; the pre-1.1 spellings had
+their release of deprecation warnings and now raise ``TypeError``.
 """
 
-import warnings
-
-import numpy as np
 import pytest
 
 import repro.api as api
@@ -55,74 +52,36 @@ def test_serve_protocol_reexports_the_same_schema():
 
 
 JUMPS = ZetaJumpDistribution(2.5)
+WALK = (JUMPS, (3, 4))
 
-#: (callable, new-style kwargs, the same call in a legacy spelling).
-_SPELLINGS = [
-    (
-        api.walk_hitting_times,
-        dict(horizon=50, n=4, rng=0),
-        dict(horizon=50, n_walks=4, rng=0),
-    ),
-    (
-        api.flight_hitting_times,
-        dict(horizon=50, n=4, rng=0),
-        dict(horizon_jumps=50, n_flights=4, rng=0),
-    ),
-    (
-        api.walk_trajectories,
-        dict(horizon=20, n=3, rng=0),
-        dict(n_steps=20, n_walks=3, rng=0),
-    ),
-    (
-        api.ball_hitting_times,
-        dict(radius=2, horizon=50, n=4, rng=0),
-        dict(radius=2, horizon=50, n_walks=4, rng=0),
-    ),
-    (
-        api.multi_target_search,
-        dict(horizon=50, n=4, rng=0),
-        dict(horizon=50, n_walks=4, rng=0),
-    ),
+#: (id, callable, positional args, keywords in a pre-1.1 spelling).
+_OLD_SPELLINGS = [
+    ("walk-n_walks", api.walk_hitting_times, WALK, dict(horizon=50, n_walks=4)),
+    ("walk-positional-tail", api.walk_hitting_times, WALK + (50, 4, 0), {}),
+    ("walk-n_walks-beside-n", api.walk_hitting_times, WALK,
+     dict(horizon=50, n=4, n_walks=4)),
+    ("flight-horizon_jumps", api.flight_hitting_times, WALK,
+     dict(horizon_jumps=50, n=4)),
+    ("flight-n_flights", api.flight_hitting_times, WALK, dict(horizon=50, n_flights=4)),
+    ("trajectories-n_steps", api.walk_trajectories, (JUMPS,), dict(n_steps=20, n=3)),
+    ("ball-n_walks", api.ball_hitting_times, WALK,
+     dict(radius=2, horizon=50, n_walks=4)),
+    ("multi_target-n_walks", api.multi_target_search, (JUMPS, [(3, 0), (0, 5)]),
+     dict(horizon=50, n_walks=4)),
+    ("estimate-n_walks-target", api.estimate, (),
+     dict(alpha=2.5, target=(3, 4), n_walks=500)),
+    ("estimate-n", api.estimate, (), dict(alpha=2.2, l=6, max_ci=0.001, n=300)),
+    ("estimate-n_steps", api.estimate, (), dict(alpha=2.5, l=8, n_steps=100)),
 ]
 
 
-def _lead_args(func):
-    if func is api.walk_trajectories:
-        return (JUMPS,)
-    if func is api.multi_target_search:
-        return (JUMPS, [(3, 0), (0, 5)])
-    return (JUMPS, (3, 4))
-
-
 @pytest.mark.parametrize(
-    "func,new,legacy", _SPELLINGS, ids=lambda v: getattr(v, "__name__", "")
+    "func,args,kwargs",
+    [case[1:] for case in _OLD_SPELLINGS],
+    ids=[case[0] for case in _OLD_SPELLINGS],
 )
-def test_legacy_spelling_warns_once_and_matches(func, new, legacy):
-    lead = _lead_args(func)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # new spelling: no warning at all
-        expected = func(*lead, **new)
-    with pytest.warns(DeprecationWarning) as caught:
-        got = func(*lead, **legacy)
-    assert len(caught) == 1
-    assert "legacy call spelling" in str(caught[0].message)
-    def payload(result):
-        for attr in ("times", "discovery_times"):
-            if hasattr(result, attr):
-                return getattr(result, attr)
-        return result
-
-    np.testing.assert_array_equal(payload(got), payload(expected))
-
-
-def test_legacy_positional_warns_once():
-    with pytest.warns(DeprecationWarning) as caught:
-        sample = api.walk_hitting_times(JUMPS, (3, 4), 50, 4, 0)
-    assert len(caught) == 1
-    assert "keyword-only" in str(caught[0].message)
-    assert sample.n == 4
-
-
-def test_legacy_and_new_name_conflict_is_an_error():
+def test_old_spelling_raises_type_error(func, args, kwargs, tmp_path):
+    if func is api.estimate:  # keep a wrongly accepted call off the cwd
+        kwargs = dict(kwargs, cache_dir=tmp_path / "c", registry_dir=tmp_path / "r")
     with pytest.raises(TypeError):
-        api.walk_hitting_times(JUMPS, (3, 4), horizon=50, n=4, n_walks=4)
+        func(*args, **kwargs)

@@ -373,7 +373,7 @@ def test_metrics_out_writes_snapshot(tmp_path, capsys):
     snapshot = json.loads(metrics.read_text())
     assert snapshot["engine.jumps_sampled"]["value"] > 0
     assert snapshot["runner.chunks_completed"]["value"] > 0
-    assert snapshot["engine.jump_length_decades"]["type"] == "histogram"
+    assert "engine.jump_length_decades" not in snapshot  # metric removed
 
 
 def test_progress_heartbeat_goes_to_stderr(tmp_path, capsys):

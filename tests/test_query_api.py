@@ -3,9 +3,7 @@
 Covers request validation and canonical keys, wire round-trips, the
 k-walker interval algebra, tier selection in the in-process
 :func:`repro.api.estimate` path (cache hit vs registry warm start vs
-theory surrogate vs fresh simulation), :func:`warm_estimates`, and the
-legacy engine-kwarg deprecation shim (one combined DeprecationWarning
-per call, the `_compat` contract).
+theory surrogate vs fresh simulation) and :func:`warm_estimates`.
 """
 
 import time
@@ -214,41 +212,6 @@ def test_warm_estimates_prefers_cache_entries_and_dedups(tmp_path):
     )
     assert len(found) == 1  # deduplicated by canonical key
     assert found[0].trials == 9000  # the cache's exact served answer wins
-
-
-# ------------------------------------------------------------ legacy spellings
-
-
-def test_legacy_spellings_warn_once_combined(tmp_path):
-    kwargs = dict(cache_dir=tmp_path / "cache", registry_dir=tmp_path / "registry")
-    with pytest.warns(DeprecationWarning) as caught:
-        response = estimate(
-            alpha=2.5, target=(3, 4), n_walks=500, detect_during_jump=True,
-            **kwargs,
-        )
-    assert len(caught) == 1  # one combined warning for three legacy aspects
-    message = str(caught[0].message)
-    for fragment in ("'target'", "'n_walks'", "'detect_during_jump'"):
-        assert fragment in message
-    assert response.key == canonical_key(2.5, 7)  # |3| + |4|
-
-
-def test_legacy_budget_spelling_caps_the_simulation(tmp_path):
-    kwargs = dict(cache_dir=tmp_path / "cache", registry_dir=tmp_path / "registry")
-    with pytest.warns(DeprecationWarning):
-        response = estimate(
-            alpha=2.2, l=6, max_ci=0.001, n=300, round_walks=100, **kwargs
-        )
-    # the impossible CI target stops at the legacy n cap, not max_walks
-    assert response.tier == "simulation"
-    assert response.trials <= 300
-    assert not response.converged
-
-
-def test_legacy_and_new_spelling_conflict_is_an_error(tmp_path):
-    with pytest.raises(TypeError):
-        estimate(alpha=2.5, l=8, horizon=100, n_steps=100,
-                 cache_dir=tmp_path / "c", registry_dir=tmp_path / "r")
 
 
 def test_new_spelling_emits_no_warning(tmp_path):

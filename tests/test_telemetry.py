@@ -134,6 +134,21 @@ def test_event_log_tolerates_truncated_final_line(tmp_path):
     assert [event["type"] for event in events] == ["log_open", "a", "log_close"]
 
 
+def test_reopened_writer_heals_a_torn_tail(tmp_path):
+    """A --resume rerun appending to a killed run's log keeps its header."""
+    path = tmp_path / "events.jsonl"
+    with EventLogWriter(path, run_id="a") as writer:
+        writer.write({"type": "chunk_end", "chunk": 0})
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write('{"type":"chunk_end"')  # kill signature: no newline
+    with EventLogWriter(path, run_id="b") as writer:
+        writer.write({"type": "chunk_end", "chunk": 1})
+    events = read_events(path, strict=True)
+    headers = [e["run_id"] for e in events if e["type"] == "log_open"]
+    assert headers == ["a", "b"]
+    assert [e["type"] for e in events].count("log_close") == 2
+
+
 def test_event_log_strict_rejects_interior_corruption(tmp_path):
     path = tmp_path / "events.jsonl"
     path.write_text('{"type":"a"}\nnot json at all\n{"type":"b"}\n')
@@ -382,8 +397,7 @@ def test_engine_metrics_recorded_when_enabled():
     assert snapshot["engine.flight.samples"]["value"] == 200
     assert snapshot["engine.steps_simulated"]["value"] > 0
     assert snapshot["engine.jumps_sampled"]["value"] > 0
-    decades = snapshot["engine.jump_length_decades"]
-    assert decades["total"] == snapshot["engine.jumps_sampled"]["value"]
+    assert "engine.jump_length_decades" not in snapshot  # metric removed
 
 
 def test_engine_records_nothing_when_disabled():
