@@ -18,6 +18,14 @@ measurement as the headline ``*_mean_seconds`` key) and
 machine in the same run.  bench-history hard-gates the fused keys and
 warns when fused is not comfortably ahead of legacy (docs/performance.md).
 
+The staged-block engines are paired with the round-by-round loops they
+replaced (frozen in benchmarks/legacy_engines.py, same table sampler):
+``walk_engine_n{250,2000}_{fused,legacy}_mean_seconds`` and
+``ball_engine_n500_{fused,legacy}_mean_seconds`` are gated like the
+other fused keys, while ``walk_engine_n20000_{staged,round}_mean_seconds``
+are plain warn-only keys, because at that width the staged engine runs
+one round per block until compaction narrows the batch (~1.0x expected).
+
 The jump draw itself is paired the same way:
 ``jump_draw_n{250,20000}_fused_mean_seconds`` times
 :meth:`~repro.distributions.cdf_table.JumpCdfTable.sample` (breakpoint
@@ -30,7 +38,12 @@ import numpy as np
 import pytest
 
 from bench_utils import record_bench
-from legacy_engines import legacy_ball_hitting_times, legacy_walk_hitting_times
+from legacy_engines import (
+    legacy_ball_hitting_times,
+    legacy_walk_hitting_times,
+    round_ball_hitting_times,
+    round_walk_hitting_times,
+)
 from repro.distributions.cdf_table import get_table, legacy_sampling
 from repro.distributions.zeta import ZetaJumpDistribution
 from repro.distributions.zipf_sampler import (
@@ -157,6 +170,50 @@ def test_walk_engine_end_to_end_legacy(benchmark):
     sample = benchmark(run)
     _persist(benchmark, "walk_engine_end_to_end_legacy")
     assert sample.n == 2_000
+
+
+#: (key stem, n, current key suffix, frozen key suffix) of the paired
+#: staged-vs-round walk timings.
+_WALK_PAIRS = [
+    ("walk_engine_n250", 250, "fused", "legacy"),
+    ("walk_engine_n2000", 2_000, "fused", "legacy"),
+    ("walk_engine_n20000", 20_000, "staged", "round"),
+]
+
+
+@pytest.mark.parametrize("stem, n, current, frozen", _WALK_PAIRS)
+@pytest.mark.parametrize("staged", [True, False], ids=["staged", "round"])
+def test_walk_engine_staged_vs_round(benchmark, stem, n, current, frozen, staged):
+    """The staged walk engine against the frozen round-by-round loop."""
+    law = ZetaJumpDistribution(2.5)
+    get_table(law.alpha, law.lazy_probability, law.cap)  # build outside the timer
+    engine = walk_hitting_times if staged else round_walk_hitting_times
+
+    def run():
+        rng = np.random.default_rng(3)
+        return engine(law, (24, 12), horizon=1_000, n=n, rng=rng)
+
+    sample = benchmark.pedantic(run, rounds=3 if n > 2_000 else 10, warmup_rounds=1)
+    _persist(benchmark, f"{stem}_{current if staged else frozen}")
+    assert sample.n == n
+
+
+@pytest.mark.parametrize("staged", [True, False], ids=["staged", "round"])
+def test_ball_engine_staged_vs_round(benchmark, staged):
+    """The staged ball engine against the frozen round-by-round loop."""
+    law = ZetaJumpDistribution(2.5)
+    get_table(law.alpha, law.lazy_probability, law.cap)  # build outside the timer
+    from repro.engine.ball_targets import ball_hitting_times
+
+    engine = ball_hitting_times if staged else round_ball_hitting_times
+
+    def run():
+        rng = np.random.default_rng(5)
+        return engine(law, (24, 12), radius=4, horizon=1_000, n=500, rng=rng)
+
+    sample = benchmark.pedantic(run, rounds=10, warmup_rounds=1)
+    _persist(benchmark, f"ball_engine_n500_{'fused' if staged else 'legacy'}")
+    assert sample.n == 500
 
 
 def test_flight_engine_end_to_end(benchmark):

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.engine.results import CENSORED
 
@@ -52,6 +51,8 @@ def two_proportion_z(
     if se == 0.0:
         return ComparisonResult(statistic=0.0, p_value=1.0, direction=p_a - p_b)
     z = (p_a - p_b) / se
+    from scipy import stats  # slow to import; kept off the engine import path
+
     p_value = 2.0 * (1.0 - stats.norm.cdf(abs(z)))
     return ComparisonResult(statistic=z, p_value=float(p_value), direction=p_a - p_b)
 
@@ -73,6 +74,8 @@ def mann_whitney_u(
         raise ValueError("both samples must be non-empty")
     a = np.where(a == CENSORED, horizon + 1, a)
     b = np.where(b == CENSORED, horizon + 1, b)
+    from scipy import stats  # slow to import; kept off the engine import path
+
     result = stats.mannwhitneyu(a, b, alternative="two-sided")
     # Direction: positive when sample A tends to be LARGER (slower).
     expected = a.size * b.size / 2.0

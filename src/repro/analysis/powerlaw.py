@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 
 @dataclass(frozen=True)
@@ -59,6 +59,8 @@ def fit_discrete_power_law(
     if n < 10:
         raise ValueError(f"need at least 10 tail samples, got {n}")
     log_sum = float(np.sum(np.log(tail)))
+    from scipy import optimize  # slow to import; kept off the engine import path
+
     result = optimize.minimize_scalar(
         _negative_log_likelihood,
         bounds=alpha_bracket,

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy import signal
 
 from repro.distributions.base import JumpDistribution
 
@@ -114,6 +113,8 @@ def flight_hitting_probability_exact(
     """
     if n_jumps < 0:
         raise ValueError(f"n_jumps must be non-negative, got {n_jumps}")
+    from scipy import signal  # slow to import; kept off the engine import path
+
     kernel = jump_kernel(law, cap)
     c = (kernel.shape[0] - 1) // 2
     w = max(c * n_jumps, 1)
@@ -145,6 +146,8 @@ def flight_occupation_exact(
     """Exact distribution of a capped flight's position after ``n_jumps``."""
     if n_jumps < 0:
         raise ValueError(f"n_jumps must be non-negative, got {n_jumps}")
+    from scipy import signal  # slow to import; kept off the engine import path
+
     kernel = jump_kernel(law, cap)
     c = (kernel.shape[0] - 1) // 2
     w = max(c * n_jumps, 1)

@@ -21,22 +21,41 @@ with the "intermittent" model of [18]):
   found the moment the walk steps on it, mid-jump included;
 * ``detect_during_jump=False`` (intermittent / Levy-flight semantics):
   only jump endpoints are inspected.
+
+Staged rounds
+-------------
+Every engine advances its live walks one *block* at a time, and a block
+simulates ``R`` consecutive rounds of every live walk with one call per
+stage: one ``rng.random`` fill for all ``2 R k`` uniforms, one batched
+jump-length lookup, one ring-offset draw plus a ``cumsum`` over the
+round axis for the endpoints, and one batched target test over every
+``(round, walk)`` pair.  The depth is a pure function of the live width
+``k`` (:func:`block_rounds`), recomputed at every block: narrow batches
+(pool chunks, refine rounds) stage up to :data:`R_MAX` rounds, where a
+round-by-round loop would pay numpy's per-call dispatch ~``R`` times
+over; wide batches run one round per block, which is exactly the classic
+round loop with its preallocated buffers and lazy compaction.
+
+A walk that hits or is censored mid-block is still simulated to the end
+of its block; only its *first* success counts, so the extra rounds are
+discarded work, not bias (a hitting time depends only on the trajectory
+prefix up to the hit, and no success can follow censoring because every
+later hit step exceeds the horizon).  Staging orders the generator's
+draws by block rather than by round, so the seed-to-sample mapping
+depends on the widths a call passes through -- a pure function of the
+seed and the call's arguments, hence still reproducible and identical in
+pooled and in-process Runner execution.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.distributions.base import JumpDistribution
 from repro.engine.results import CENSORED, HittingTimeSample
-from repro.engine.ring import (
-    flight_hitting_times_ring,
-    ring_rounds,
-    walk_hitting_times_ring,
-)
 from repro.engine.samplers import BatchJumpSampler, HomogeneousSampler
 from repro.lattice.direct_path import sample_direct_path_nodes
 from repro.lattice.rings import sample_ring_offsets
@@ -44,6 +63,20 @@ from repro.rng import SeedLike, as_generator
 from repro.telemetry.recorder import get_recorder
 
 IntPoint = Tuple[int, int]
+
+#: Walk-rounds one staged block aims for: ``R = BLOCK // k``.
+BLOCK = 16384
+#: Deepest block; past it the discarded post-hit rounds outweigh the gain.
+R_MAX = 32
+#: Shallowest staged block: shallower ones lost to one round per block,
+#: so ``BLOCK // k < R_MIN`` (``k > 3276``) runs round by round.
+R_MIN = 5
+
+
+def block_rounds(k: int) -> int:
+    """Rounds per block for ``k`` live walks (1 = round by round)."""
+    rounds = min(R_MAX, BLOCK // max(int(k), 1))
+    return rounds if rounds >= R_MIN else 1
 
 
 def _record_engine_sample(engine: str, n: int, steps: int, seconds: float) -> None:
@@ -60,6 +93,124 @@ def _as_sampler(source: Union[BatchJumpSampler, JumpDistribution]) -> BatchJumpS
     if isinstance(source, BatchJumpSampler):
         return source
     return HomogeneousSampler(source)
+
+
+class _LiveWalks:
+    """Compacted live-walk state of one engine call, advanced block by block.
+
+    Row ``j`` of ``pos``/``elapsed``/``alive`` belongs to walk ``idx[j]``.
+    Finished rows are dropped lazily (only once >= 1/8 of the rows died),
+    so the common all-survive block costs no gather/scatter; until then a
+    dead row jumps with ``d = 0`` and callers mask it with ``alive``.
+    The uniform, distance and endpoint buffers are preallocated for the
+    widest block the call can run; endpoints ping-pong between two
+    buffers, because the next block's start is the last row of this one.
+    """
+
+    def __init__(self, n: int, start: IntPoint) -> None:
+        self.idx = np.arange(n)
+        self.pos = np.empty((n, 2), dtype=np.int64)
+        self.pos[:, 0] = int(start[0])
+        self.pos[:, 1] = int(start[1])
+        self.elapsed = np.zeros(n, dtype=np.int64)
+        self.alive = np.ones(n, dtype=bool)
+        self.n_dead = 0
+        rows = max(n, min(BLOCK, R_MAX * n))
+        self._u = np.empty(2 * rows, dtype=np.float64)
+        self._d = np.empty(rows, dtype=np.int64)
+        self._ends = [np.empty((rows, 2), dtype=np.int64) for _ in range(2)]
+
+    def advance(
+        self,
+        sampler: BatchJumpSampler,
+        rng: np.random.Generator,
+        ring_offsets: Callable,
+        rounds: int,
+        prof,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Draw one block: ``(d, starts, ends)`` with a leading round axis.
+
+        ``d`` is ``(rounds, k)``; ``starts``/``ends`` are ``(rounds, k, 2)``
+        with ``starts[0]`` the block's start and ``starts[r] == ends[r - 1]``.
+        ``ring_offsets`` is the calling engine module's
+        :func:`~repro.lattice.rings.sample_ring_offsets`.
+        """
+        idx = self.idx
+        k = idx.size
+        total = rounds * k
+        u = self._u[: 2 * total]
+        rng.random(out=u)
+        if prof is not None:
+            prof.lap("rng")
+        rows = idx if rounds == 1 else np.tile(idx, rounds)
+        d = sampler.sample(rng, rows, u=u[:total], out=self._d[:total]).reshape(rounds, k)
+        if self.n_dead:
+            np.multiply(d, self.alive, out=d)
+        if prof is not None:
+            prof.lap("cdf_lookup")
+        buf = self._ends.pop(0)
+        self._ends.append(buf)
+        ends = ring_offsets(d.ravel(), rng, u=u[total:], out=buf[:total]).reshape(rounds, k, 2)
+        if rounds > 1:
+            np.cumsum(ends, axis=0, out=ends)
+        ends += self.pos
+        start = self.pos[None]
+        starts = start if rounds == 1 else np.concatenate((start, ends[:-1]))
+        self.pos = ends[-1]
+        return d, starts, ends
+
+    def clock(self, d: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(before, after)``: elapsed steps at each round's start and end.
+
+        A phase of length ``d >= 1`` lasts ``d`` steps and a lazy phase 1
+        step (Definition 3.4).  Advances ``elapsed`` to the block's end.
+        """
+        step = np.maximum(d, 1)
+        if d.shape[0] == 1:
+            before = self.elapsed[None]
+            after = np.add(step, before, out=step)
+        else:
+            after = np.cumsum(step, axis=0)
+            after += self.elapsed
+            before = after - step
+        self.elapsed = after[-1]
+        return before, after
+
+    def settle(
+        self,
+        times: np.ndarray,
+        success: np.ndarray,
+        hit_time: np.ndarray,
+        censored: Optional[np.ndarray] = None,
+    ) -> None:
+        """Record each row's first success in the block and retire it.
+
+        ``success``/``hit_time`` are ``(rounds, k)`` and ``success`` is
+        already masked by ``alive``; ``censored`` marks rows past the
+        horizon at the block's end, which retire without a time.
+        """
+        if success.shape[0] == 1:
+            done = success[0]
+            if np.any(done):
+                times[self.idx[done]] = hit_time[0][done]
+        else:
+            cols = np.flatnonzero(success.any(axis=0))
+            done = np.zeros(self.idx.size, dtype=bool)
+            if cols.size:
+                first = success[:, cols].argmax(axis=0)
+                times[self.idx[cols]] = hit_time[first, cols]
+                done[cols] = True
+        died = self.alive & (done if censored is None else done | censored)
+        if np.any(died):
+            self.alive &= ~died
+            self.n_dead += int(died.sum())
+            if self.n_dead * 8 >= self.idx.size:
+                keep = self.alive
+                self.idx = self.idx[keep]
+                self.pos = self.pos[keep]
+                self.elapsed = self.elapsed[keep]
+                self.alive = np.ones(self.idx.size, dtype=bool)
+                self.n_dead = 0
 
 
 def walk_hitting_times(
@@ -116,50 +267,15 @@ def walk_hitting_times(
         # Definition 3.7: the hitting time is the first step t >= 0 with
         # J_t = u*, so starting on the target means tau = 0.
         return HittingTimeSample(times=np.zeros(n_walks, dtype=np.int64), horizon=horizon)
-    rounds = ring_rounds()
-    if rounds > 1:
-        # Interleaved walker-ring mode (see repro.engine.ring): staged
-        # blocks of `rounds` rounds, statistically equivalent to the
-        # loop below but with a different RNG consumption order.
-        return walk_hitting_times_ring(
-            sampler,
-            (tx, ty),
-            horizon=horizon,
-            n=n_walks,
-            rng=rng,
-            start=(int(start[0]), int(start[1])),
-            detect_during_jump=detect_during_jump,
-            rounds=rounds,
-        )
 
-    # Compacted state: row j of `pos`/`elapsed` belongs to walk `idx[j]`.
-    # Finished walks are dropped lazily (only when >= 1/8 of rows died),
-    # so the common all-survive round costs no gather/scatter.
-    idx = np.arange(n_walks)
-    # Preallocated round buffers: positions ping-pong between two (n, 2)
-    # blocks (current round reads `pos`, writes endpoints into the other
-    # block), jump distances/ring offsets write into fixed buffers, and
-    # the round's uniforms -- one per walk for the fused lazy+distance
-    # draw, one for the ring index -- come from a single `rng.random`
-    # call into a flat slice.  Compaction shrinks the live views.
-    pos_buf = np.empty((n_walks, 2), dtype=np.int64)
-    end_buf = np.empty((n_walks, 2), dtype=np.int64)
-    d_buf = np.empty(n_walks, dtype=np.int64)
-    off_buf = np.empty((n_walks, 2), dtype=np.int64)
-    u_buf = np.empty(2 * n_walks, dtype=np.float64)
-    pos = pos_buf[:n_walks]
-    pos[:, 0] = int(start[0])
-    pos[:, 1] = int(start[1])
-    elapsed = np.zeros(n_walks, dtype=np.int64)
-    alive = np.ones(n_walks, dtype=bool)
-    n_dead = 0
+    walks = _LiveWalks(n_walks, start)
     # Telemetry: one flag check per call when disabled; step accounting
     # only accumulates when a live recorder is installed.  `tick` is the
-    # per-round liveness pulse -- a no-op everywhere except inside pool
+    # per-block liveness pulse -- a no-op everywhere except inside pool
     # workers, where it touches the chunk's heartbeat file.  `prof` is
-    # the phase accumulator (or None): each round is tiled into laps
+    # the phase accumulator (or None): each block is tiled into laps
     # charged to the named hot-loop stages, at the cost of one `is None`
-    # test per stage per *round* when profiling is off.
+    # test per stage per *block* when profiling is off.
     recorder = get_recorder()
     track = recorder.enabled
     tick = recorder.tick
@@ -167,56 +283,39 @@ def walk_hitting_times(
     steps_simulated = 0
     started = time.perf_counter() if track else 0.0
 
-    while idx.size:
+    while walks.idx.size:
         tick()
         if prof is not None:
             prof.start()
-        k = idx.size
-        u = u_buf[: 2 * k]
-        rng.random(out=u)
-        if prof is not None:
-            prof.lap("rng")
-        d = sampler.sample(rng, idx, u=u[:k], out=d_buf[:k])
-        d[~alive] = 0  # dead rows are carried until the next compaction
+        alive = walks.alive
+        rounds = block_rounds(walks.idx.size)
+        d, starts, ends = walks.advance(sampler, rng, sample_ring_offsets, rounds, prof)
+        before, after = walks.clock(d)
         if track:
-            steps_simulated += int(np.maximum(d, 1)[alive].sum())
-        if prof is not None:
-            prof.lap("cdf_lookup")
-        off = sample_ring_offsets(d, rng, u=u[k:], out=off_buf[:k])
-        v = np.add(pos, off, out=end_buf[:k])
+            steps_simulated += int(np.maximum(d, 1)[:, alive].sum())
         if prof is not None:
             prof.lap("state_update")
-        m = np.abs(tx - pos[:, 0]) + np.abs(ty - pos[:, 1])
         if detect_during_jump:
-            reach = alive & (m <= d)
-            hit = np.zeros(k, dtype=bool)
-            if np.any(reach):
-                nodes = sample_direct_path_nodes(pos[reach], v[reach], m[reach], rng)
-                hit[reach] = (nodes[:, 0] == tx) & (nodes[:, 1] == ty)
-            hit_step = elapsed + m
+            m = np.abs(tx - starts[..., 0]) + np.abs(ty - starts[..., 1])
+            reach = (m <= d) & alive
+            hit = np.zeros(d.shape, dtype=bool)
+            pairs = np.flatnonzero(reach)
+            if pairs.size:
+                nodes = sample_direct_path_nodes(
+                    starts.reshape(-1, 2)[pairs],
+                    ends.reshape(-1, 2)[pairs],
+                    m.ravel()[pairs],
+                    rng,
+                )
+                hit.ravel()[pairs] = (nodes[:, 0] == tx) & (nodes[:, 1] == ty)
+            hit_step = before + m
         else:
-            hit = alive & (v[:, 0] == tx) & (v[:, 1] == ty)
-            hit_step = elapsed + np.maximum(d, 1)
+            hit = alive & (ends[..., 0] == tx) & (ends[..., 1] == ty)
+            hit_step = after
         success = hit & (hit_step <= horizon)
-        if np.any(success):
-            times[idx[success]] = hit_step[success]
         if prof is not None:
             prof.lap("target_check")
-        elapsed += np.maximum(d, 1)
-        pos_buf, end_buf = end_buf, pos_buf
-        pos = v
-        died = alive & (success | (elapsed >= horizon))
-        if np.any(died):
-            alive &= ~died
-            n_dead += int(died.sum())
-            if n_dead * 8 >= idx.size:
-                idx = idx[alive]
-                survivors = pos[alive]
-                pos = pos_buf[: idx.size]
-                pos[:] = survivors
-                elapsed = elapsed[alive]
-                alive = np.ones(idx.size, dtype=bool)
-                n_dead = 0
+        walks.settle(times, success, hit_step, walks.elapsed >= horizon)
         if prof is not None:
             prof.lap("compaction")
 
@@ -244,7 +343,9 @@ def flight_hitting_times(
     A flight's time unit is one jump (Definition 3.3): ``horizon`` and
     the returned times count jumps, and a flight only detects the target
     when a jump lands on it.  Used for the flight-level lemmas (4.5,
-    4.13) and as the intermittent-detection comparator.
+    4.13) and as the intermittent-detection comparator.  Blocks are
+    clipped to the remaining jump budget, so no jump past the horizon is
+    ever drawn.
     """
     sampler = _as_sampler(jumps)
     rng = as_generator(rng)
@@ -260,70 +361,34 @@ def flight_hitting_times(
         return HittingTimeSample(
             times=np.zeros(n_flights, dtype=np.int64), horizon=horizon_jumps
         )
-    rounds = ring_rounds()
-    if rounds > 1:
-        return flight_hitting_times_ring(
-            sampler,
-            (tx, ty),
-            horizon=horizon_jumps,
-            n=n_flights,
-            rng=rng,
-            start=(int(start[0]), int(start[1])),
-            rounds=rounds,
-        )
-    # Same compacted state machine and preallocated round buffers as
-    # `walk_hitting_times`: dead rows jump with d = 0 (so their position
-    # is frozen) until >= 1/8 of rows died, then the live views shrink.
-    idx = np.arange(n_flights)
-    pos = np.empty((n_flights, 2), dtype=np.int64)
-    pos[:, 0] = int(start[0])
-    pos[:, 1] = int(start[1])
-    d_buf = np.empty(n_flights, dtype=np.int64)
-    off_buf = np.empty((n_flights, 2), dtype=np.int64)
-    u_buf = np.empty(2 * n_flights, dtype=np.float64)
-    alive = np.ones(n_flights, dtype=bool)
-    n_dead = 0
+    # Same live-walk state as `walk_hitting_times`; a dead row jumps with
+    # d = 0, so it sits on the target and is masked by `alive`.
+    flights = _LiveWalks(n_flights, start)
     recorder = get_recorder()
     track = recorder.enabled
     tick = recorder.tick
     prof = recorder.profile
     jumps_simulated = 0
+    jumps_done = 0
     started = time.perf_counter() if track else 0.0
-    for jump_index in range(1, horizon_jumps + 1):
-        if not idx.size:
-            break
+    while flights.idx.size and jumps_done < horizon_jumps:
         tick()
         if prof is not None:
             prof.start()
-        k = idx.size
-        u = u_buf[: 2 * k]
-        rng.random(out=u)
-        if prof is not None:
-            prof.lap("rng")
-        d = sampler.sample(rng, idx, u=u[:k], out=d_buf[:k])
-        d[~alive] = 0  # dead rows are carried until the next compaction
+        alive = flights.alive
+        k = flights.idx.size
+        rounds = min(block_rounds(k), horizon_jumps - jumps_done)
+        _, _, ends = flights.advance(sampler, rng, sample_ring_offsets, rounds, prof)
         if track:
-            jumps_simulated += int(alive.sum())
-        if prof is not None:
-            prof.lap("cdf_lookup")
-        off = sample_ring_offsets(d, rng, u=u[k:], out=off_buf[:k])
-        pos += off
+            jumps_simulated += rounds * int(alive.sum())
         if prof is not None:
             prof.lap("state_update")
-        # A dead row sits on the target with d = 0; mask by `alive` so it
-        # is not re-detected.
-        hit = alive & (pos[:, 0] == tx) & (pos[:, 1] == ty)
+        hit = alive & (ends[..., 0] == tx) & (ends[..., 1] == ty)
+        jump_index = np.arange(jumps_done + 1, jumps_done + rounds + 1)
         if prof is not None:
             prof.lap("target_check")
-        if np.any(hit):
-            times[idx[hit]] = jump_index
-            alive &= ~hit
-            n_dead += int(hit.sum())
-            if n_dead * 8 >= idx.size:
-                idx = idx[alive]
-                pos = pos[alive]
-                alive = np.ones(idx.size, dtype=bool)
-                n_dead = 0
+        flights.settle(times, hit, np.broadcast_to(jump_index[:, None], (rounds, k)))
+        jumps_done += rounds
         if prof is not None:
             prof.lap("compaction")
     if track:

@@ -293,17 +293,6 @@ def add_runner_arguments(parser: argparse.ArgumentParser) -> None:
         help="degrade checkpointing to manifest-only mode when available "
         "memory drops below MB",
     )
-    parser.add_argument(
-        "--ring-rounds",
-        type=int,
-        default=0,
-        dest="ring_rounds",
-        metavar="R",
-        help="run engines with the interleaved walker-ring loop staging R "
-        "rounds per pass (0 = legacy per-round loop; ring mode changes "
-        "RNG consumption order, so samples are equivalent in law but not "
-        "bit-identical to the legacy loop)",
-    )
 
 
 def add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
@@ -432,7 +421,6 @@ def runner_from_args(args: argparse.Namespace):
     quarantine_after = getattr(args, "quarantine_after", None)
     min_disk_mb = getattr(args, "min_disk_mb", None)
     min_memory_mb = getattr(args, "min_memory_mb", None)
-    ring_rounds = getattr(args, "ring_rounds", 0)
     wants_runner = (
         args.checkpoint_dir is not None
         or args.resume
@@ -445,7 +433,6 @@ def runner_from_args(args: argparse.Namespace):
         or quarantine_after is not None
         or min_disk_mb is not None
         or min_memory_mb is not None
-        or ring_rounds
     )
     if not wants_runner:
         return None
@@ -485,7 +472,6 @@ def runner_from_args(args: argparse.Namespace):
         convergence=convergence,
         retry_policy=retry_policy,
         resource_guards=resource_guards,
-        ring_rounds=ring_rounds,
     )
 
 

@@ -41,8 +41,11 @@ from repro.io_utils import (
 )
 
 #: Version stamp of the checkpoint format; chunks written by a different
-#: version are quarantined rather than trusted.
-SCHEMA_VERSION = 1
+#: version are quarantined rather than trusted, and a run manifest of a
+#: different version refuses the resume.  Version 2: the engines' staged
+#: blocks changed which samples a seed yields, so chunks written before
+#: cannot be merged with chunks written after.
+SCHEMA_VERSION = 2
 
 _MANIFEST_NAME = "manifest.json"
 _CHUNKS_DIR = "chunks"

@@ -41,7 +41,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine import shm as _shm
-from repro.engine.ring import ring_scope
 from repro.runner import tasks as _tasks
 from repro.runner.checkpoint import SCHEMA_VERSION, CheckpointStore
 from repro.runner.chunking import ChunkPlan, clamp_chunks
@@ -116,7 +115,6 @@ def _execute_chunk(
     attempt: int = 1,
     heartbeat: Optional[Tuple[str, float]] = None,
     profile: bool = False,
-    ring: int = 0,
 ):
     """Run one chunk (in the parent or a pool worker).
 
@@ -135,11 +133,6 @@ def _execute_chunk(
     watchdog observes.  Installed *before* the injector hook runs, so an
     injected hang is exactly what it simulates: a worker that stopped
     heartbeating mid-chunk.
-
-    ``ring > 1`` enables the interleaved walker-ring loop
-    (:mod:`repro.engine.ring`) for the chunk's engine calls.  Applied
-    identically in serial and pooled execution, so a run's results stay
-    bit-identical across worker counts for a fixed ``ring`` setting.
     """
     from repro.telemetry.recorder import get_recorder as _get_recorder
 
@@ -165,8 +158,7 @@ def _execute_chunk(
             recorder.profile = PhaseAccumulator()
         if injector is not None:
             injector.in_worker(index, attempt)
-        with ring_scope(ring):
-            payload = task(n, seed)
+        payload = task(n, seed)
         meta: Dict[str, Any] = {"worker_id": os.getpid()}
         if profile:
             accumulator = getattr(_get_recorder(), "profile", None)
@@ -305,7 +297,9 @@ class Runner:
         0 runs chunks one at a time in-process; ``>= 1`` runs them in a
         process pool of that size (isolation: a dying or hanging worker
         cannot take the parent down).  Both go through the same chunk
-        loop, so the merged sample does not depend on this.
+        loop, and an engine's staged block depth depends only on its
+        call's live width (:func:`repro.engine.vectorized.block_rounds`),
+        so the merged sample does not depend on this.
     max_seconds:
         Walltime budget shared across all ``run()`` calls of this Runner
         (the clock starts at the first call).  Expiry degrades, never raises.
@@ -345,10 +339,6 @@ class Runner:
         :func:`repro.telemetry.get_recorder` seam, a no-op unless the
         CLI (``--log-json``/``--metrics-out``/``--progress``) or a test
         enabled telemetry.
-    ring_rounds:
-        ``> 1`` runs the engines' interleaved walker-ring loop with this
-        block depth (:mod:`repro.engine.ring`), in serial and pooled
-        execution alike.  0 (default) keeps the legacy round loop.
     """
 
     def __init__(
@@ -364,7 +354,6 @@ class Runner:
         recorder=None,
         retry_policy: Optional[RetryPolicy] = None,
         resource_guards: Optional[ResourceGuards] = None,
-        ring_rounds: int = 0,
     ) -> None:
         if n_chunks < 1:
             raise ValueError(f"n_chunks must be positive, got {n_chunks}")
@@ -372,8 +361,6 @@ class Runner:
             raise ValueError(f"workers must be non-negative, got {workers}")
         if chunk_timeout is not None and not chunk_timeout > 0:
             raise ValueError(f"chunk_timeout must be positive, got {chunk_timeout}")
-        if ring_rounds < 0:
-            raise ValueError(f"ring_rounds must be non-negative, got {ring_rounds}")
         self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
         self.n_chunks = int(n_chunks)
         self.workers = int(workers)
@@ -381,12 +368,6 @@ class Runner:
         self.chunk_timeout = chunk_timeout
         self.retry_policy = retry_policy or RetryPolicy()
         self.resource_guards = resource_guards
-        #: Engine block depth for the interleaved walker-ring loop; 0/1
-        #: keeps the legacy round-by-round loop.  Applied in serial and
-        #: pooled execution alike (worker-count invariance holds per
-        #: setting; samples differ *between* settings -- see
-        #: repro.engine.ring).
-        self.ring_rounds = int(ring_rounds)
         #: Segment-name prefix of the last pooled run's shared CDF-table
         #: segments (tests / leak audits); None until a pooled run on a
         #: host with named shared memory.
@@ -1013,7 +994,6 @@ class Runner:
                         attempt,
                         heartbeat,
                         profile,
-                        self.ring_rounds,
                     )
                     inflight[future] = (state, index, started)
                 done, _ = wait(list(inflight), timeout=poll, return_when=FIRST_COMPLETED)

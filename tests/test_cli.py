@@ -66,6 +66,17 @@ def test_out_of_range_runner_flag_is_a_usage_error(argv, capsys):
     assert "Traceback" not in err
 
 
+def test_removed_ring_rounds_flag_is_unknown(capsys):
+    # The engines pick their block depth from the live width; there is no
+    # loop switch left to set.
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "EXP-T1.1", "--ring-rounds", "8"])
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --ring-rounds 8" in err
+    assert "Traceback" not in err
+
+
 def test_seed_changes_nothing_for_deterministic_experiment(capsys):
     main(["run", "EXP-L3.2", "--scale", "smoke", "--seed", "1"])
     first = capsys.readouterr().out

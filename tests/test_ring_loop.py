@@ -1,12 +1,14 @@
-"""Interleaved walker-ring hot loop: scope plumbing, determinism, law.
+"""Staged walker-ring blocks: determinism, width invariance, exact law.
 
-The ring loop stages several rounds per pass (all RNG draws, then all
-CDF lookups, then all state updates), which *reorders RNG consumption*
-relative to the legacy per-round loop.  The contract is therefore
-equivalence in law, not bit-identity: ring samples must pass a
-chi-square homogeneity gate against legacy samples, while within one
-ring setting everything stays exactly deterministic and identical
-across serial/pooled execution (covered by the runner suite).
+Every engine advances its live walks in blocks of ``R`` rounds, with
+``R = block_rounds(k)`` a pure function of the live width ``k``: a narrow
+call (a 250-walk pool chunk) stages deep "ring" blocks, a wide call
+(20 000 walks) runs the legacy round-by-round block (``R = 1``) until
+compaction narrows it.  Staging orders the generator's draws by block,
+so the two regimes give different samples for one seed; the contract is
+equality in *law*, checked here without any knob: many pooled narrow
+calls must pass a chi-square homogeneity gate against one wide call, and
+a capped flight run entirely in one block must match its exact law.
 """
 
 import numpy as np
@@ -15,81 +17,71 @@ from scipy import stats
 
 from repro.distributions.zeta import ZetaJumpDistribution
 from repro.engine.ball_targets import ball_hitting_times
+from repro.engine.exact_occupation import flight_hitting_probability_exact
 from repro.engine.results import CENSORED
-from repro.engine.ring import (
-    DEFAULT_RING_ROUNDS,
-    ring_rounds,
-    ring_scope,
-    set_ring_rounds,
+from repro.engine.vectorized import (
+    BLOCK,
+    R_MAX,
+    _LiveWalks,
+    block_rounds,
+    flight_hitting_times,
+    walk_hitting_times,
 )
-from repro.engine.vectorized import flight_hitting_times, walk_hitting_times
+from repro.runner import HittingTimeTask, Runner
 
 LAW = ZetaJumpDistribution(2.5)
 TARGET = (5, 3)
 HORIZON = 200
 N = 4_000
+NARROW, N_NARROW, WIDE = 250, 80, 20_000
 
 
-# ------------------------------------------------------------------ plumbing
+def _walk(seed, n=N, **kw):
+    return walk_hitting_times(
+        LAW, TARGET, horizon=HORIZON, n=n, rng=np.random.default_rng(seed), **kw
+    )
 
 
-def test_ring_rounds_defaults_to_legacy_loop():
-    assert ring_rounds() == 0
+def _narrow_and_wide(engine, seed):
+    """``N_NARROW`` pooled narrow calls (deep blocks) and one wide call."""
+    narrow = np.concatenate(
+        [engine(NARROW, np.random.default_rng([seed, i])).times for i in range(N_NARROW)]
+    )
+    return narrow, engine(WIDE, np.random.default_rng(seed + 1)).times
 
 
-def test_set_ring_rounds_returns_previous_and_validates():
-    previous = set_ring_rounds(4)
-    try:
-        assert previous == 0
-        assert ring_rounds() == 4
-    finally:
-        set_ring_rounds(previous)
-    with pytest.raises(ValueError):
-        set_ring_rounds(-1)
+# ------------------------------------------------------------------ depth rule
 
 
-def test_ring_scope_restores_on_exit_and_on_error():
-    with ring_scope(DEFAULT_RING_ROUNDS):
-        assert ring_rounds() == DEFAULT_RING_ROUNDS
-    assert ring_rounds() == 0
-    with pytest.raises(RuntimeError):
-        with ring_scope(3):
-            raise RuntimeError("boom")
-    assert ring_rounds() == 0
+def test_block_rounds_is_deep_when_narrow_and_one_when_wide():
+    assert block_rounds(NARROW) == R_MAX
+    assert block_rounds(WIDE) == 1
+    widths = np.arange(1, 2 * BLOCK)
+    depths = np.array([block_rounds(k) for k in widths])
+    assert np.all(np.diff(depths[depths > 1]) <= 0)
+    assert np.all(depths * widths <= np.maximum(widths, BLOCK))
+    assert depths.max() == R_MAX and set(depths[widths > BLOCK]) == {1}
 
 
 # -------------------------------------------------------------- determinism
 
 
-def _walk(seed, rounds=0, **kw):
-    with ring_scope(rounds):
-        return walk_hitting_times(
-            LAW, TARGET, horizon=HORIZON, n=N,
-            rng=np.random.default_rng(seed), **kw
-        )
-
-
 def test_ring_walk_is_deterministic_per_seed():
-    a = _walk(7, rounds=8)
-    b = _walk(7, rounds=8)
-    np.testing.assert_array_equal(a.times, b.times)
-
-
-def test_ring_walk_differs_from_legacy_stream():
-    # Different RNG consumption order: equality would mean the scope
-    # never took effect.
-    assert not np.array_equal(_walk(7, rounds=8).times, _walk(7).times)
-
-
-def test_rounds_of_one_matches_legacy_dispatch():
-    # rounds=1 stages a single round per pass: the engine keeps the
-    # legacy loop (cheaper; no tiling overhead) rather than delegating.
-    np.testing.assert_array_equal(_walk(7, rounds=1).times, _walk(7).times)
+    for n in (NARROW, N):
+        np.testing.assert_array_equal(_walk(7, n=n).times, _walk(7, n=n).times)
 
 
 def test_start_on_target_short_circuits_before_delegation():
-    sample = _walk(7, rounds=8, start=TARGET)
-    assert np.all(sample.times == 0)
+    # tau = 0 for every walk, before any block is drawn.
+    for n in (NARROW, N):
+        assert np.all(_walk(7, n=n, start=TARGET).times == 0)
+
+
+def test_pooled_runner_matches_in_process_at_narrow_chunks():
+    task = HittingTimeTask(jumps=LAW, target=TARGET, horizon=HORIZON)
+    serial = Runner(n_chunks=4, workers=0).run(task, 4 * NARROW, 5).payload
+    pooled = Runner(n_chunks=4, workers=2).run(task, 4 * NARROW, 5).payload
+    np.testing.assert_array_equal(serial.times, pooled.times)
 
 
 # ------------------------------------------------------------ law equivalence
@@ -112,44 +104,104 @@ def _edges():
 
 @pytest.mark.parametrize("detect", [True, False])
 def test_walk_ring_matches_legacy_in_law(detect):
-    legacy = _walk(11, detect_during_jump=detect)
-    ring = _walk(12, rounds=8, detect_during_jump=detect)
-    assert _chi2_homogeneity(legacy.times, ring.times, _edges()) > 1e-3
+    def walks(n, rng):
+        return walk_hitting_times(
+            LAW, TARGET, horizon=HORIZON, n=n, rng=rng, detect_during_jump=detect
+        )
+
+    narrow, wide = _narrow_and_wide(walks, 11)
+    assert _chi2_homogeneity(narrow, wide, _edges()) > 1e-3
 
 
 def test_flight_ring_matches_legacy_in_law():
-    def flights(seed, rounds):
-        with ring_scope(rounds):
-            return flight_hitting_times(
-                LAW, TARGET, horizon=60, n=N, rng=np.random.default_rng(seed)
-            )
+    def flights(n, rng):
+        return flight_hitting_times(LAW, TARGET, horizon=60, n=n, rng=rng)
 
-    legacy = flights(21, 0)
-    ring = flights(22, 8)
+    narrow, wide = _narrow_and_wide(flights, 21)
     edges = np.concatenate([[CENSORED - 0.5], np.arange(1, 62, 6, dtype=float)])
-    assert _chi2_homogeneity(legacy.times, ring.times, edges) > 1e-3
+    assert _chi2_homogeneity(narrow, wide, edges) > 1e-3
 
 
 @pytest.mark.parametrize("detect", [True, False])
 def test_ball_ring_matches_legacy_in_law(detect):
-    def balls(seed, rounds):
-        with ring_scope(rounds):
-            return ball_hitting_times(
-                LAW, (9, 6), radius=2, horizon=HORIZON, n=N,
-                rng=np.random.default_rng(seed), detect_during_jump=detect,
-            )
+    def balls(n, rng):
+        return ball_hitting_times(
+            LAW, (9, 6), radius=2, horizon=HORIZON, n=n, rng=rng,
+            detect_during_jump=detect,
+        )
 
-    legacy = balls(31, 0)
-    ring = balls(32, 8)
-    assert _chi2_homogeneity(legacy.times, ring.times, _edges()) > 1e-3
+    narrow, wide = _narrow_and_wide(balls, 31)
+    assert _chi2_homogeneity(narrow, wide, _edges()) > 1e-3
 
 
 def test_ring_hit_rate_tracks_legacy():
-    legacy = _walk(41)
-    ring = _walk(42, rounds=8)
-    p_legacy = np.mean(legacy.times != CENSORED)
-    p_ring = np.mean(ring.times != CENSORED)
+    narrow, wide = _narrow_and_wide(lambda n, rng: _walk(rng, n=n), 41)
+    p_narrow = np.mean(narrow != CENSORED)
+    p_wide = np.mean(wide != CENSORED)
     # Two-proportion z-gate, generous: 5 sigma of the pooled std error.
-    pooled = (p_legacy + p_ring) / 2
-    sigma = np.sqrt(2 * pooled * (1 - pooled) / N)
-    assert abs(p_legacy - p_ring) < 5 * sigma + 1e-9
+    pooled = (p_narrow + p_wide) / 2
+    sigma = np.sqrt(pooled * (1 - pooled) * (1 / narrow.size + 1 / wide.size))
+    assert abs(p_narrow - p_wide) < 5 * sigma + 1e-9
+
+
+def _within_binomial(hits: int, trials: int, p: float, sigmas: float = 5.0) -> bool:
+    return abs(hits / trials - p) <= sigmas * np.sqrt(p * (1 - p) / trials) + 1e-12
+
+
+def test_capped_flight_in_one_block_matches_exact_law():
+    # 256 flights stage all 32 jumps in a single block.
+    law = ZetaJumpDistribution(2.5, cap=8)
+    target, jumps, n = (2, 1), 32, 256
+    assert block_rounds(n) >= jumps
+    exact = flight_hitting_probability_exact(law, target, jumps)
+    times = np.concatenate(
+        [
+            flight_hitting_times(
+                law, target, horizon=jumps, n=n, rng=np.random.default_rng([3, i])
+            ).times
+            for i in range(40)
+        ]
+    )
+    for j in range(1, jumps + 1):
+        hits = int(np.count_nonzero((times != CENSORED) & (times <= j)))
+        assert _within_binomial(hits, times.size, exact[j]), j
+
+
+# ----------------------------------------------------------------- block edges
+
+
+def test_block_edges_keep_first_hit_and_discard_late_ones():
+    # Target next to the start, horizon 2, one deep block per call.  With
+    # lazy probability 1/2 and the 4-fold symmetry of the ring-1 marginal,
+    # P(tau = 1) = 1/2 * 1/4 (hit, then censored in the same block) and
+    # P(tau = 2) = 1/2 * 1/2 * 1/4 (a hit at exactly the horizon); every
+    # later crossing of the target follows censoring and must not count.
+    times = np.concatenate(
+        [
+            walk_hitting_times(
+                LAW, (1, 0), horizon=2, n=NARROW, rng=np.random.default_rng([6, i])
+            ).times
+            for i in range(N_NARROW)
+        ]
+    )
+    assert set(np.unique(times)) <= {CENSORED, 1, 2}
+    assert _within_binomial(int(np.sum(times == 1)), times.size, 1 / 8)
+    assert _within_binomial(int(np.sum(times == 2)), times.size, 1 / 16)
+
+
+def test_settle_records_first_success_and_retires_rows():
+    walks = _LiveWalks(4, (0, 0))
+    times = np.full(4, CENSORED, dtype=np.int64)
+    success = np.array(
+        [
+            [True, False, False, False],
+            [True, False, False, False],  # a second, later success: ignored
+            [False, True, False, False],
+        ]
+    )
+    hit_time = np.array([[3, 0, 0, 0], [7, 0, 0, 0], [0, 10, 0, 0]])
+    censored = np.array([True, True, True, False])
+    walks.settle(times, success, hit_time, censored)
+    assert times.tolist() == [3, 10, CENSORED, CENSORED]
+    # Three of four rows died (>= 1/8): compacted down to the survivor.
+    assert walks.idx.tolist() == [3] and walks.alive.tolist() == [True]

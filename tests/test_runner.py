@@ -302,6 +302,26 @@ def test_resume_with_different_run_identity_refused(tmp_path):
         )
 
 
+def test_resume_onto_schema_v1_checkpoint_refused(tmp_path, reference):
+    # Schema 1 chunks were drawn before the staged engine blocks changed
+    # which samples a seed yields; resuming must not mix the two streams.
+    import json
+
+    run_dir = _complete_checkpoint(tmp_path)
+    for path in [run_dir / "manifest.json", *(run_dir / "chunks").glob("*.json")]:
+        meta = json.loads(path.read_text())
+        meta["schema_version"] = 1
+        path.write_text(json.dumps(meta))
+    with pytest.raises(CheckpointMismatchError, match="schema_version"):
+        Runner(checkpoint_dir=tmp_path, n_chunks=N_CHUNKS, resume=True).run(
+            make_task(), N_WALKS, SEED
+        )
+    fresh = Runner(checkpoint_dir=tmp_path / "fresh", n_chunks=N_CHUNKS).run(
+        make_task(), N_WALKS, SEED
+    )
+    np.testing.assert_array_equal(fresh.payload.times, reference.times)
+
+
 def test_garbage_run_manifest_raises_corrupt_error(tmp_path):
     run_dir = _complete_checkpoint(tmp_path)
     (run_dir / "manifest.json").write_text("{not json")
